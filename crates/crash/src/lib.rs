@@ -16,16 +16,19 @@
 //!    (between the commit record and the data write-backs), mid-log-drain
 //!    and mid-overflow — exactly the windows recovery exists for.
 //!    Stratified samples cover the rest of the run.
-//! 2. **Profiling** ([`probe`]) — a fully observed run over the resumable
+//! 2. **Profiling** ([`probe`]) — the cell's one simulation: a fully
+//!    observed run over the resumable
 //!    [`dhtm_sim::driver::SimulationSession`] records each commit's span on
-//!    the mutation clock and its word writes.
-//! 3. **Persistence snapshotting** ([`probe::capture_cell`]) — an identical
-//!    re-run with the domain armed captures the exact durable image at each
-//!    crash point; volatile state (caches, log buffers, registers) is
-//!    implicitly discarded because it is not part of the domain.
+//!    the mutation clock and its word writes, while the persistent domain
+//!    journals every counted mutation.
+//! 3. **Crash images** ([`probe::Replay`]) — the exact durable
+//!    image at each crash point is rebuilt by replaying the journal onto
+//!    the post-setup base image, lazily and in ascending point order;
+//!    volatile state (caches, log buffers, registers) is implicitly
+//!    discarded because it is not part of the domain.
 //! 4. **Recovery auditing** ([`oracle`]) — `RecoveryManager::recover` runs
-//!    on each image and the result is compared word-exactly against the
-//!    committed-prefix expected image (durability + atomicity + mid-commit
+//!    on each image and the result is compared word-exactly, one cache line
+//!    at a time, against the committed-prefix expected image (durability + atomicity + mid-commit
 //!    resolution + sentinel ordering).
 //! 5. **Fault-injected negative controls** ([`fault`],
 //!    [`matrix::negative_control`]) — deliberately corrupted logs must be
@@ -50,4 +53,4 @@ pub use fault::Fault;
 pub use matrix::{negative_control, CrashCell, CrashCellReport, CrashMatrix, NegativeControl};
 pub use oracle::{OracleOutcome, RecoveryAuditor};
 pub use plan::{CrashPoint, PointKind};
-pub use probe::{capture_cell, profile_cell, ProfileRecorder, ProfiledRun, RunProfile};
+pub use probe::{capture_cell, profile_cell, ProfileRecorder, ProfiledRun, Replay, RunProfile};

@@ -13,7 +13,7 @@ use dhtm_types::stats::{RecoveryCounters, RunStats};
 use crate::fault::{self, Fault};
 use crate::oracle::{OracleOutcome, RecoveryAuditor};
 use crate::plan::{plan_points, PointKind};
-use crate::probe::{capture_cell, profile_cell};
+use crate::probe::profile_cell;
 
 /// One design × workload crash-experiment cell.
 #[derive(Debug, Clone)]
@@ -35,8 +35,8 @@ pub struct CrashCell {
 impl CrashCell {
     /// The cell's runnable form: its engine resolved through the engine
     /// registry, with the cell's exact configuration and workload seed —
-    /// the single construction path the profile and capture runs share
-    /// with the experiment harness.
+    /// the single construction path the profile run shares with the
+    /// experiment harness.
     pub fn resolved(&self) -> dhtm_scenario::ResolvedSpec {
         dhtm_scenario::ResolvedSpec::from_parts(
             &self.design.into(),
@@ -182,7 +182,8 @@ impl CrashMatrix {
             .collect()
     }
 
-    /// Runs one cell: profile, plan, capture, audit.
+    /// Runs one cell: profile (the cell's only simulation), plan, then
+    /// replay and audit each point in ascending order.
     pub fn run_cell(&self, cell: &CrashCell) -> CrashCellReport {
         let run = profile_cell(cell);
         let plan = plan_points(
@@ -192,17 +193,15 @@ impl CrashMatrix {
             &[],
             &self.at_cycles,
         );
-        let points: Vec<u64> = plan.iter().map(|p| p.point).collect();
-        let captures = capture_cell(cell, &points);
-        debug_assert_eq!(captures.len(), plan.len());
 
+        let mut replay = run.replay();
         let mut auditor = RecoveryAuditor::new(&run.profile, cell.design);
         let mut counters = RecoveryCounters::default();
         let verdicts: Vec<PointVerdict> = plan
             .iter()
-            .zip(captures.iter())
-            .map(|(p, (point, snapshot))| {
-                let outcome = auditor.audit(*point, snapshot);
+            .map(|p| {
+                let snapshot = replay.image_at(p.point);
+                let outcome = auditor.audit(snapshot.mutation_count(), snapshot);
                 outcome.accumulate(&mut counters);
                 PointVerdict {
                     kind: p.kind,
@@ -265,30 +264,31 @@ pub fn negative_control(cell: &CrashCell) -> Option<NegativeControl> {
     if candidates.is_empty() {
         return None;
     }
-    let captures = capture_cell(cell, &candidates);
 
+    let mut replay = run.replay();
     let mut primary: Option<(u64, bool, bool)> = None;
     let mut drop_detected = false;
-    for (point, snapshot) in &captures {
+    for &point in &candidates {
+        let snapshot = replay.image_at(point);
         if !fault::has_target(snapshot) {
             continue;
         }
         if primary.is_none() {
             let clean = RecoveryAuditor::new(&run.profile, cell.design)
-                .audit(*point, snapshot)
+                .audit(point, snapshot)
                 .passed;
             let mut flipped = snapshot.crash_snapshot();
             fault::inject(&mut flipped, Fault::FlipRedoPayload);
             let flip_failed = !RecoveryAuditor::new(&run.profile, cell.design)
-                .audit(*point, &flipped)
+                .audit(point, &flipped)
                 .passed;
-            primary = Some((*point, clean, flip_failed));
+            primary = Some((point, clean, flip_failed));
         }
         if !drop_detected {
             let mut dropped = snapshot.crash_snapshot();
             if fault::inject(&mut dropped, Fault::DropCommitMarker) {
                 drop_detected = !RecoveryAuditor::new(&run.profile, cell.design)
-                    .audit(*point, &dropped)
+                    .audit(point, &dropped)
                     .passed;
             }
         }

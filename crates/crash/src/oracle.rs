@@ -24,11 +24,9 @@
 //! The non-persistent design (NP) makes no durability claim; its oracle is
 //! only that recovery finds nothing to do (no logs ⇒ no replay/rollback).
 
-use std::collections::BTreeMap;
-
 use dhtm_nvm::domain::PersistentDomain;
 use dhtm_nvm::recovery::{RecoveryManager, RecoveryReport};
-use dhtm_types::addr::Address;
+use dhtm_types::addr::{Address, LineAddr, LineData, WordIndex};
 use dhtm_types::policy::DesignKind;
 use dhtm_types::stats::RecoveryCounters;
 
@@ -78,6 +76,9 @@ impl OracleOutcome {
     }
 }
 
+/// Expected contents of the tracked lines, sorted by line address.
+type LineImage = Vec<(LineAddr, LineData)>;
+
 /// Incremental expected-image state for auditing a cell's crash points in
 /// ascending order: commits are folded in as the points move past them, so
 /// auditing `P` points over `C` commits costs `O(P + C)` image updates
@@ -86,8 +87,9 @@ impl OracleOutcome {
 pub struct RecoveryAuditor<'a> {
     profile: &'a RunProfile,
     design: DesignKind,
-    /// Expected value per tracked word after the first `applied` commits.
-    image: BTreeMap<Address, u64>,
+    /// Expected contents of every tracked line after the first `applied`
+    /// commits.
+    image: LineImage,
     applied: usize,
     last_point: Option<u64>,
 }
@@ -100,16 +102,12 @@ impl<'a> RecoveryAuditor<'a> {
     /// corrupted log payload clobbering a neighbouring word during replay,
     /// a partial-line write-back) is caught as well.
     pub fn new(profile: &'a RunProfile, design: DesignKind) -> Self {
-        let mut image = BTreeMap::new();
-        for addr in &profile.tracked {
-            let line = addr.line();
-            for w in 0..dhtm_types::addr::WORDS_PER_LINE {
-                let word = line.word_address(dhtm_types::addr::WordIndex::new(w));
-                image
-                    .entry(word)
-                    .or_insert_with(|| profile.base.read_word(word));
-            }
-        }
+        let mut lines: Vec<LineAddr> = profile.tracked.iter().map(|a| a.line()).collect();
+        lines.dedup();
+        let image = lines
+            .into_iter()
+            .map(|line| (line, profile.base.read_line(line)))
+            .collect();
         RecoveryAuditor {
             profile,
             design,
@@ -119,34 +117,36 @@ impl<'a> RecoveryAuditor<'a> {
         }
     }
 
-    fn apply_commit(image: &mut BTreeMap<Address, u64>, writes: &[(Address, u64)]) {
+    /// Writes a commit's word writes into `image`, in program order. Every
+    /// written word lies on a tracked line.
+    fn apply_commit(image: &mut LineImage, writes: &[(Address, u64)]) {
         for &(addr, value) in writes {
-            image.insert(addr, value);
+            let i = image
+                .binary_search_by_key(&addr.line(), |&(line, _)| line)
+                .expect("written words lie on tracked lines");
+            image[i].1[addr.word_index().get()] = value;
         }
     }
 
-    fn mismatches(
-        &self,
-        recovered: &PersistentDomain,
-        overlay: Option<&[(Address, u64)]>,
-    ) -> Vec<String> {
-        let extra: BTreeMap<Address, u64> = overlay
-            .map(|w| w.iter().copied().collect())
-            .unwrap_or_default();
+    /// The words of `recovered` that differ from `image`, in address order:
+    /// each tracked line is read once and compared word by word.
+    fn mismatches(recovered: &PersistentDomain, image: &LineImage) -> Vec<String> {
         let mut out = Vec::new();
-        for (&addr, &expected) in &self.image {
-            let want = extra.get(&addr).copied().unwrap_or(expected);
-            let got = recovered.read_word(addr);
-            if got != want {
-                if out.len() < MAX_VIOLATIONS {
-                    out.push(format!(
-                        "word {:#x}: recovered {got:#x}, expected {want:#x}",
-                        addr.raw()
-                    ));
-                } else {
-                    out.push("... further mismatches elided".to_string());
-                    break;
+        for &(line, expected) in image {
+            let got = recovered.read_line(line);
+            for (w, (&got, &want)) in got.iter().zip(&expected).enumerate() {
+                if got == want {
+                    continue;
                 }
+                if out.len() == MAX_VIOLATIONS {
+                    out.push("... further mismatches elided".to_string());
+                    return out;
+                }
+                let addr = line.word_address(WordIndex::new(w));
+                out.push(format!(
+                    "word {:#x}: recovered {got:#x}, expected {want:#x}",
+                    addr.raw()
+                ));
             }
         }
         out
@@ -186,13 +186,15 @@ impl<'a> RecoveryAuditor<'a> {
 
         if violations.is_empty() {
             if self.design.is_durable() {
-                let base_mismatches = self.mismatches(&recovered, None);
+                let base_mismatches = Self::mismatches(&recovered, &self.image);
                 if base_mismatches.is_empty() {
                     // Consistent with E_k.
                 } else if let Some(c) = ambiguous_commit {
                     // The crash interrupted commit k+1: the recovered state
                     // may instead equal E_{k+1} in full.
-                    let forward = self.mismatches(&recovered, Some(&c.writes));
+                    let mut next = self.image.clone();
+                    Self::apply_commit(&mut next, &c.writes);
+                    let forward = Self::mismatches(&recovered, &next);
                     if forward.is_empty() {
                         resolved_forward = true;
                     } else {
@@ -314,4 +316,66 @@ mod tests {
         assert!(!outcome.passed);
         assert!(outcome.violations[0].contains("recovered"));
     }
+
+    /// The auditor's `violations` text, pinned verbatim: the JSON verdict
+    /// report carries it, so its wording and order must not drift.
+    #[test]
+    fn violation_messages_are_pinned() {
+        let c = cell(DesignKind::Dhtm, "hash");
+        let run = profile_cell(&c);
+
+        // A flipped redo payload at the first replayable point.
+        let candidates: Vec<u64> = run
+            .profile
+            .commits
+            .iter()
+            .flat_map(|c| (c.step_start_mutations + 1)..c.step_end_mutations)
+            .collect();
+        let captures = capture_cell(&c, &candidates);
+        let (point, snap) = captures
+            .iter()
+            .find(|(_, snap)| crate::fault::has_target(snap))
+            .expect("DHTM exposes a replayable window");
+        let mut flipped = snap.crash_snapshot();
+        assert!(crate::fault::inject(
+            &mut flipped,
+            crate::fault::Fault::FlipRedoPayload
+        ));
+        let outcome = RecoveryAuditor::new(&run.profile, DesignKind::Dhtm).audit(*point, &flipped);
+        assert_eq!(outcome.violations, FLIPPED, "point {point}");
+
+        // More than `MAX_VIOLATIONS` corrupted words at the end of the run.
+        let end = run.profile.total_mutations;
+        let (_, snap) = &capture_cell(&c, &[end])[0];
+        let mut tampered = snap.crash_snapshot();
+        for &addr in run.profile.tracked.iter().take(MAX_VIOLATIONS + 3) {
+            let v = tampered.read_word(addr);
+            tampered.memory_mut().write_word(addr, v ^ 0xFF00);
+        }
+        let outcome = RecoveryAuditor::new(&run.profile, DesignKind::Dhtm).audit(end, &tampered);
+        assert_eq!(outcome.violations, ELIDED);
+    }
+
+    const FLIPPED: &[&str] = &[
+        "word 0x1171c0: recovered 0xdeadbeef0bae7566, expected 0x0",
+        "word 0x1171c8: recovered 0x38594, expected 0x0",
+        "word 0x840000: recovered 0x3856b, expected 0x0",
+        "word 0x840008: recovered 0x38594, expected 0x0",
+        "word 0x840010: recovered 0x3855c, expected 0x0",
+        "word 0x840040: recovered 0x3856c, expected 0x0",
+        "word 0x840048: recovered 0x38593, expected 0x0",
+        "word 0x840080: recovered 0x3856d, expected 0x0",
+    ];
+
+    const ELIDED: &[&str] = &[
+        "word 0x109940: recovered 0xff00, expected 0x0",
+        "word 0x109948: recovered 0xffff, expected 0xff",
+        "word 0x113800: recovered 0xff00, expected 0x0",
+        "word 0x113808: recovered 0xffff, expected 0xff",
+        "word 0x1171c0: recovered 0x37a6b, expected 0x3856b",
+        "word 0x1171c8: recovered 0x37a94, expected 0x38594",
+        "word 0x1203c0: recovered 0xdf793, expected 0xd0893",
+        "word 0x1203c8: recovered 0xdf76c, expected 0xd086c",
+        "... further mismatches elided",
+    ];
 }

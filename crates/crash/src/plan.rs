@@ -114,8 +114,8 @@ pub fn adversarial_points(run: &ProfiledRun, budget: usize) -> Vec<u64> {
 }
 
 /// Builds the full plan for one profiled cell: stratified + adversarial +
-/// explicit points, deduplicated and sorted ascending (as the capture run
-/// requires).
+/// explicit points, deduplicated and sorted ascending (the order crash
+/// images are replayed in).
 pub fn plan_points(
     run: &ProfiledRun,
     stratified: usize,

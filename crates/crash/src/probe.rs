@@ -1,22 +1,25 @@
-//! Profiling a cell: one fully observed run that records the commit
-//! timeline against the durable-mutation clock.
+//! Profiling a cell: one fully observed, journaled run that records the
+//! commit timeline against the durable-mutation clock, and the crash images
+//! rebuilt from it.
 //!
-//! Every crash experiment runs its cell (deterministically) twice: the
-//! *profile* run streams the [`dhtm_sim::driver::SimulationSession`]'s
+//! Every crash experiment simulates its cell exactly once.
+//! [`profile_cell`] streams the [`dhtm_sim::driver::SimulationSession`]'s
 //! events through a [`ProfileRecorder`] — an ordinary
 //! [`dhtm_sim::observer::SimObserver`] — recording for every commit the
 //! span of the durable-mutation clock its commit step occupied and the
-//! word writes it made durable; the *capture* run (see [`crate::matrix`])
-//! replays the identical execution with the same crash points armed
-//! through the session. Because both runs are seeded identically, the
-//! profile's timeline indexes the capture run's snapshots exactly. Engines
+//! word writes it made durable. The persistent domain journals every
+//! counted mutation of the same run
+//! ([`dhtm_nvm::domain::PersistentDomain::start_journal`]), so the crash
+//! image at any point is the post-setup base image replayed through the
+//! journal up to that point ([`ProfiledRun::replay`]): the images and the
+//! timeline come from one execution and index each other exactly. Engines
 //! are built through the engine registry via the scenario exec layer
 //! ([`CrashCell::resolved`]), the same construction path the experiment
 //! harness uses.
 
 use std::collections::BTreeSet;
 
-use dhtm_nvm::domain::PersistentDomain;
+use dhtm_nvm::domain::{DurableMutation, PersistentDomain};
 use dhtm_sim::driver::{SimulationResult, Simulator};
 use dhtm_sim::observer::{SimObserver, StepContext};
 use dhtm_sim::workload::{Transaction, TxOp};
@@ -94,16 +97,29 @@ pub fn word_writes(tx: &Transaction) -> Vec<(Address, u64)> {
 }
 
 /// The profile plus the per-step spans `(pop_time, start_mutations,
-/// end_mutations)` of every step that advanced the mutation clock.
+/// end_mutations)` of every step that advanced the mutation clock, and the
+/// run's durable-mutation journal.
 #[derive(Debug)]
 pub struct ProfiledRun {
     /// The commit/tracking timeline.
     pub profile: RunProfile,
     /// `(pop_time, start, end)` for every mutation-advancing step.
     pub step_spans: Vec<(u64, u64, u64)>,
+    /// Every counted mutation of the run: entry `i` moves the clock from
+    /// `i` to `i + 1`.
+    pub journal: Vec<DurableMutation>,
 }
 
 impl ProfiledRun {
+    /// Crash images of this run, rebuilt from `profile.base` by replaying
+    /// the journal.
+    pub fn replay(&self) -> Replay<'_> {
+        Replay {
+            image: self.profile.base.crash_snapshot(),
+            journal: &self.journal,
+        }
+    }
+
     /// Translates a cycle-denominated crash point ("power fails at cycle
     /// `c`") to the mutation clock: the durable state at cycle `c` is the
     /// state after the last mutating step processed before `c`.
@@ -114,6 +130,39 @@ impl ProfiledRun {
             .last()
             .map(|&(_, _, end)| end)
             .unwrap_or(0)
+    }
+}
+
+/// A cursor over a run's crash images: the base image advanced through the
+/// journal, one counted mutation at a time, so images are produced lazily
+/// and in ascending order.
+#[derive(Debug)]
+pub struct Replay<'a> {
+    image: PersistentDomain,
+    journal: &'a [DurableMutation],
+}
+
+impl Replay<'_> {
+    /// The crash image at `point`: exactly the first `point` counted
+    /// mutations durable. A point past the end of the run is clamped to the
+    /// final clock value, which the image's
+    /// [`PersistentDomain::mutation_count`] reports.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `point` lies below the image's current clock value (points
+    /// must be requested in ascending order).
+    pub fn image_at(&mut self, point: u64) -> &PersistentDomain {
+        let from = self.image.mutation_count();
+        let to = point.min(self.journal.len() as u64);
+        assert!(
+            to >= from,
+            "crash images must be requested in ascending order"
+        );
+        for mutation in &self.journal[from as usize..to as usize] {
+            self.image.apply(mutation);
+        }
+        &self.image
     }
 }
 
@@ -150,10 +199,12 @@ impl SimObserver for ProfileRecorder {
     }
 }
 
-/// Runs `cell` once with full observation, producing its timeline.
+/// Runs `cell` once with full observation and the domain's journal on,
+/// producing its timeline and the journal its crash images replay.
 pub fn profile_cell(cell: &CrashCell) -> ProfiledRun {
     let resolved = cell.resolved();
     let (mut machine, mut engine, mut workload, limits) = resolved.components();
+    machine.mem.domain_mut().start_journal();
     let sim = Simulator::new();
     let mut session = sim.start(&mut machine, &mut engine, workload.as_mut(), &limits);
 
@@ -163,6 +214,8 @@ pub fn profile_cell(cell: &CrashCell) -> ProfiledRun {
 
     let total_mutations = session.domain().mutation_count();
     let result = session.into_result();
+    let journal = machine.mem.domain_mut().take_journal();
+    debug_assert_eq!(journal.len() as u64, total_mutations);
     ProfiledRun {
         profile: RunProfile {
             design: cell.design,
@@ -173,21 +226,27 @@ pub fn profile_cell(cell: &CrashCell) -> ProfiledRun {
             result,
         },
         step_spans: recorder.step_spans,
+        journal,
     }
 }
 
-/// Re-runs `cell` identically with the crash points armed through the
-/// session, returning the captured crash images as `(point, image)` pairs
-/// in ascending order.
+/// Simulates `cell` once and returns the crash images at `points` as
+/// `(point, image)` pairs in ascending order, replayed from the run's
+/// journal: duplicate points are dropped, and points past the end of the
+/// run are clamped to the final clock value.
 pub fn capture_cell(cell: &CrashCell, points: &[u64]) -> Vec<(u64, PersistentDomain)> {
-    let resolved = cell.resolved();
-    let (mut machine, mut engine, mut workload, limits) = resolved.components();
-    let sim = Simulator::new();
-    let mut session = sim.start(&mut machine, &mut engine, workload.as_mut(), &limits);
-    session.arm_crash_points(points);
-    session.run_to_completion();
-    drop(session);
-    machine.mem.domain_mut().take_crash_captures()
+    let run = profile_cell(cell);
+    let mut points = points.to_vec();
+    points.sort_unstable();
+    points.dedup();
+    let mut replay = run.replay();
+    points
+        .into_iter()
+        .map(|p| {
+            let image = replay.image_at(p);
+            (image.mutation_count(), image.crash_snapshot())
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -245,6 +304,32 @@ mod tests {
         assert_eq!(captures[1].1.mutation_count(), c.step_end_mutations);
         assert_eq!(p.committed_before(c.step_start_mutations), 2);
         assert_eq!(p.committed_before(c.step_end_mutations), 3);
+    }
+
+    #[test]
+    fn images_cover_point_zero_duplicates_and_the_past_the_end_clamp() {
+        let run = profile_cell(&cell(DesignKind::Dhtm));
+        let total = run.profile.total_mutations;
+        let points = [total / 2, 0, total / 3, total / 2, total + 7, total + 100];
+        let images = capture_cell(&cell(DesignKind::Dhtm), &points);
+        let points: Vec<u64> = images.iter().map(|(p, _)| *p).collect();
+        assert_eq!(points, [0, total / 3, total / 2, total, total]);
+        for (point, image) in &images {
+            assert_eq!(image.mutation_count(), *point);
+        }
+        assert!(images[0].1 == run.profile.base, "point 0 is the base image");
+        assert!(images[3].1 == images[4].1);
+        assert!(images[2].1 != images[3].1);
+        assert!(*run.replay().image_at(total / 3) == images[1].1);
+    }
+
+    #[test]
+    #[should_panic(expected = "ascending order")]
+    fn replay_refuses_a_point_below_the_last_one() {
+        let run = profile_cell(&cell(DesignKind::Dhtm));
+        let mut replay = run.replay();
+        replay.image_at(10);
+        replay.image_at(9);
     }
 
     #[test]

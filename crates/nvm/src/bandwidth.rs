@@ -25,6 +25,8 @@
 //! can never disagree by a phantom idle cycle the way an accumulating
 //! `f64` cursor can when rounding residue pushes it just past an integer.
 
+use dhtm_types::config::{MAX_BYTES_PER_CYCLE, MIN_BYTES_PER_CYCLE};
+
 /// A bandwidth-limited, work-conserving memory channel.
 ///
 /// The channel keeps a cursor to the earliest instant at which a new
@@ -93,7 +95,7 @@ impl MemoryChannel {
             "bytes_per_cycle must be positive, got {bytes_per_cycle}"
         );
         assert!(
-            (2f64.powi(-16)..=2f64.powi(16)).contains(&bytes_per_cycle),
+            (MIN_BYTES_PER_CYCLE..=MAX_BYTES_PER_CYCLE).contains(&bytes_per_cycle),
             "bytes_per_cycle must lie within [2^-16, 2^16], got {bytes_per_cycle}"
         );
         let (num, den) = rational_from_f64(bytes_per_cycle);

@@ -9,6 +9,26 @@ use crate::memory::PersistentMemory;
 use crate::overflow::OverflowList;
 use crate::record::LogRecord;
 
+/// One counted mutation of the [`PersistentDomain`], as recorded by its
+/// journal (see [`PersistentDomain::start_journal`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DurableMutation {
+    /// [`PersistentDomain::append_log`].
+    AppendLog(ThreadId, LogRecord),
+    /// [`PersistentDomain::reclaim_log`] that reclaimed records.
+    ReclaimLog(ThreadId),
+    /// [`PersistentDomain::purge_log_tx`] that removed records.
+    PurgeLogTx(ThreadId, TxId),
+    /// [`PersistentDomain::append_overflow`].
+    AppendOverflow(ThreadId, TxId, LineAddr),
+    /// [`PersistentDomain::clear_overflow_tx`] that removed entries.
+    ClearOverflowTx(ThreadId, TxId),
+    /// [`PersistentDomain::write_line`].
+    WriteLine(LineAddr, LineData),
+    /// [`PersistentDomain::write_word`].
+    WriteWord(Address, u64),
+}
+
 /// The set of persistent structures visible to the recovery manager: the
 /// in-place data image, one transaction log per thread and one overflow list
 /// per thread.
@@ -20,7 +40,7 @@ use crate::record::LogRecord;
 /// at that instant, and running the [`crate::recovery::RecoveryManager`] on
 /// the clone reproduces the paper's recovery procedure.
 ///
-/// # The durable-mutation clock
+/// # The durable-mutation clock and its journal
 ///
 /// Every content mutation that reaches the domain through the first-class
 /// mutator methods ([`PersistentDomain::append_log`],
@@ -28,11 +48,13 @@ use crate::record::LogRecord;
 /// ticks a monotone *mutation clock*. The clock defines the persist-boundary
 /// semantics of the crash-injection subsystem (`dhtm_crash`): a crash point
 /// `n` means "power was lost after exactly the first `n` durable mutations
-/// became persistent". Arming the domain with
-/// [`PersistentDomain::arm_crash_captures`] makes it snapshot itself at each
-/// requested clock value, *without* disturbing the run — the simulation
-/// continues to completion and the snapshots are collected afterwards with
-/// [`PersistentDomain::take_crash_captures`].
+/// became persistent".
+///
+/// With [`PersistentDomain::start_journal`] the domain also records every
+/// counted mutation as a [`DurableMutation`], without disturbing the run:
+/// entry `i` moves the clock from `i` to `i + 1`. Replaying the entries
+/// below `n` with [`PersistentDomain::apply`] onto a copy of the domain
+/// taken before them rebuilds the crash image at point `n` exactly.
 ///
 /// Direct access through [`PersistentDomain::log_mut`] /
 /// [`PersistentDomain::memory_mut`] bypasses the clock; it is meant for
@@ -45,11 +67,23 @@ pub struct PersistentDomain {
     /// Durable-mutation clock: number of content mutations applied through
     /// the counting mutator methods.
     mutations: u64,
-    /// Pending crash-capture points (ascending clock values).
-    armed: Vec<u64>,
-    /// Captured crash images, as (clock value, image) pairs.
-    captured: Vec<(u64, PersistentDomain)>,
+    /// Every counted mutation since [`PersistentDomain::start_journal`],
+    /// or `None` when not journaling.
+    journal: Option<Vec<DurableMutation>>,
 }
+
+/// Durable-state equality: memory, every log and overflow list, and the
+/// clock. Whether a journal is being recorded is not durable state.
+impl PartialEq for PersistentDomain {
+    fn eq(&self, other: &Self) -> bool {
+        self.mutations == other.mutations
+            && self.memory == other.memory
+            && self.logs == other.logs
+            && self.overflow_lists == other.overflow_lists
+    }
+}
+
+impl Eq for PersistentDomain {}
 
 impl PersistentDomain {
     /// Creates a domain with `threads` per-thread logs of `log_capacity`
@@ -64,13 +98,12 @@ impl PersistentDomain {
                 .map(|t| OverflowList::new(ThreadId::new(t), overflow_capacity))
                 .collect(),
             mutations: 0,
-            armed: Vec::new(),
-            captured: Vec::new(),
+            journal: None,
         }
     }
 
     // ------------------------------------------------------------------
-    // The durable-mutation clock and crash captures.
+    // The durable-mutation clock and its journal.
     // ------------------------------------------------------------------
 
     /// Number of durable content mutations applied so far through the
@@ -79,56 +112,58 @@ impl PersistentDomain {
         self.mutations
     }
 
-    /// Arms the domain to capture a crash image at each of the given clock
-    /// values: the image at point `n` reflects exactly the first `n` counted
-    /// mutations. Points are sorted and de-duplicated; points at or beyond
-    /// the final clock value resolve to the end-of-run state when the
-    /// captures are taken.
-    pub fn arm_crash_captures<I: IntoIterator<Item = u64>>(&mut self, points: I) {
-        self.armed.extend(points);
-        self.armed.sort_unstable();
-        self.armed.dedup();
+    /// Starts recording every counted mutation, so that journal entry `i`
+    /// is the mutation that moves the clock from `i` to `i + 1`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the clock has already ticked (earlier mutations would be
+    /// missing from the journal).
+    pub fn start_journal(&mut self) {
+        assert_eq!(self.mutations, 0, "the journal must start at clock 0");
+        self.journal = Some(Vec::new());
     }
 
-    /// Takes the captured crash images, resolving any still-armed points
-    /// (at or beyond the current clock) with the current state. Returns
-    /// (clock value, image) pairs in ascending clock order.
-    pub fn take_crash_captures(&mut self) -> Vec<(u64, PersistentDomain)> {
-        if !self.armed.is_empty() {
-            let image = self.capture_image();
-            let rest: Vec<u64> = std::mem::take(&mut self.armed);
-            for n in rest {
-                self.captured.push((n.min(self.mutations), image.clone()));
+    /// Stops journaling and returns the recorded mutations (empty if the
+    /// journal was never started).
+    pub fn take_journal(&mut self) -> Vec<DurableMutation> {
+        self.journal.take().unwrap_or_default()
+    }
+
+    /// Replays one journaled mutation through its counting mutator, ticking
+    /// the clock (and recording it, if this domain journals too).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the mutation does not apply — a full log or list, or a
+    /// reclaim, purge or clear that finds nothing — which means it is being
+    /// replayed onto a state other than the one it was recorded on.
+    pub fn apply(&mut self, mutation: &DurableMutation) {
+        let applied = match *mutation {
+            DurableMutation::AppendLog(thread, record) => self.append_log(thread, record).is_ok(),
+            DurableMutation::ReclaimLog(thread) => self.reclaim_log(thread) > 0,
+            DurableMutation::PurgeLogTx(thread, tx) => self.purge_log_tx(thread, tx) > 0,
+            DurableMutation::AppendOverflow(thread, tx, line) => {
+                self.append_overflow(thread, tx, line).is_ok()
             }
-        }
-        std::mem::take(&mut self.captured)
+            DurableMutation::ClearOverflowTx(thread, tx) => self.clear_overflow_tx(thread, tx) > 0,
+            DurableMutation::WriteLine(line, data) => {
+                self.write_line(line, data);
+                true
+            }
+            DurableMutation::WriteWord(addr, value) => {
+                self.write_word(addr, value);
+                true
+            }
+        };
+        assert!(applied, "journal replay diverged at {mutation:?}");
     }
 
-    /// Captures a crash image for every armed point at or below the current
-    /// clock value. Called by each counting mutator *before* it applies its
-    /// change: a crash at point `n` preserves exactly the first `n`
-    /// mutations, so the image must be taken before mutation `n` lands.
-    /// (Calling this ahead of an operation that then fails or turns out to
-    /// be a no-op is harmless — the content is unchanged until the next
-    /// successful mutation, so the image is identical.)
-    fn pre_mutation_capture(&mut self) {
-        while self.armed.first().is_some_and(|&n| n <= self.mutations) {
-            let n = self.armed.remove(0);
-            let image = self.capture_image();
-            self.captured.push((n, image));
-        }
-    }
-
-    /// An exact copy of the durable state at this instant, with the capture
-    /// instrumentation stripped (a crash image is never itself armed).
-    fn capture_image(&self) -> PersistentDomain {
-        PersistentDomain {
-            memory: self.memory.clone(),
-            logs: self.logs.clone(),
-            overflow_lists: self.overflow_lists.clone(),
-            mutations: self.mutations,
-            armed: Vec::new(),
-            captured: Vec::new(),
+    /// Ticks the clock for one applied mutation, journaling it if enabled.
+    fn tick(&mut self, mutation: DurableMutation) {
+        self.mutations += 1;
+        if let Some(journal) = &mut self.journal {
+            journal.push(mutation);
         }
     }
 
@@ -148,9 +183,8 @@ impl PersistentDomain {
     ///
     /// Panics if `thread` is out of range.
     pub fn append_log(&mut self, thread: ThreadId, record: LogRecord) -> Result<()> {
-        self.pre_mutation_capture();
         self.logs[thread.get()].append(record)?;
-        self.mutations += 1;
+        self.tick(DurableMutation::AppendLog(thread, record));
         Ok(())
     }
 
@@ -162,10 +196,9 @@ impl PersistentDomain {
     ///
     /// Panics if `thread` is out of range.
     pub fn reclaim_log(&mut self, thread: ThreadId) -> usize {
-        self.pre_mutation_capture();
         let reclaimed = self.logs[thread.get()].reclaim();
         if reclaimed > 0 {
-            self.mutations += 1;
+            self.tick(DurableMutation::ReclaimLog(thread));
         }
         reclaimed
     }
@@ -178,10 +211,9 @@ impl PersistentDomain {
     ///
     /// Panics if `thread` is out of range.
     pub fn purge_log_tx(&mut self, thread: ThreadId, tx: TxId) -> usize {
-        self.pre_mutation_capture();
         let purged = self.logs[thread.get()].purge_tx(tx);
         if purged > 0 {
-            self.mutations += 1;
+            self.tick(DurableMutation::PurgeLogTx(thread, tx));
         }
         purged
     }
@@ -198,9 +230,8 @@ impl PersistentDomain {
     ///
     /// Panics if `thread` is out of range.
     pub fn append_overflow(&mut self, thread: ThreadId, tx: TxId, line: LineAddr) -> Result<()> {
-        self.pre_mutation_capture();
         self.overflow_lists[thread.get()].append(tx, line)?;
-        self.mutations += 1;
+        self.tick(DurableMutation::AppendOverflow(thread, tx, line));
         Ok(())
     }
 
@@ -211,13 +242,12 @@ impl PersistentDomain {
     ///
     /// Panics if `thread` is out of range.
     pub fn clear_overflow_tx(&mut self, thread: ThreadId, tx: TxId) -> usize {
-        self.pre_mutation_capture();
         let list = &mut self.overflow_lists[thread.get()];
         let before = list.len();
         list.clear_tx(tx);
         let cleared = before - list.len();
         if cleared > 0 {
-            self.mutations += 1;
+            self.tick(DurableMutation::ClearOverflowTx(thread, tx));
         }
         cleared
     }
@@ -245,9 +275,8 @@ impl PersistentDomain {
     /// Writes a full line to the in-place image (a data write-back reaching
     /// persistent memory), ticking the mutation clock.
     pub fn write_line(&mut self, line: LineAddr, data: LineData) {
-        self.pre_mutation_capture();
         self.memory.write_line(line, data);
-        self.mutations += 1;
+        self.tick(DurableMutation::WriteLine(line, data));
     }
 
     /// Convenience: reads one word from the in-place image.
@@ -257,9 +286,8 @@ impl PersistentDomain {
 
     /// Writes one word to the in-place image, ticking the mutation clock.
     pub fn write_word(&mut self, addr: Address, value: u64) {
-        self.pre_mutation_capture();
         self.memory.write_word(addr, value);
-        self.mutations += 1;
+        self.tick(DurableMutation::WriteWord(addr, value));
     }
 
     /// The transaction log owned by `thread`.
@@ -322,9 +350,15 @@ impl PersistentDomain {
     /// Takes a crash snapshot: an exact copy of the durable state at this
     /// instant. All volatile state (caches, log buffer contents, transaction
     /// status registers) is implicitly discarded because it simply is not
-    /// part of the domain. Capture instrumentation is not carried over.
+    /// part of the domain. The journal is not carried over.
     pub fn crash_snapshot(&self) -> PersistentDomain {
-        self.capture_image()
+        PersistentDomain {
+            memory: self.memory.clone(),
+            logs: self.logs.clone(),
+            overflow_lists: self.overflow_lists.clone(),
+            mutations: self.mutations,
+            journal: None,
+        }
     }
 
     /// Total log bytes appended across all threads (bandwidth accounting).
@@ -458,42 +492,99 @@ mod tests {
         assert_eq!(d.mutation_count(), 2);
     }
 
-    #[test]
-    fn armed_captures_freeze_state_at_the_requested_clock_values() {
-        let mut d = PersistentDomain::new(1, 16, 16);
-        d.arm_crash_captures([0, 2, 100]);
-        d.write_line(LineAddr::new(1), [1; 8]); // mutation 0
-        d.write_line(LineAddr::new(1), [2; 8]); // mutation 1
-        d.write_line(LineAddr::new(1), [3; 8]); // mutation 2
-        let captures = d.take_crash_captures();
-        assert_eq!(captures.len(), 3);
-        // Point 0: before any mutation.
-        assert_eq!(captures[0].0, 0);
-        assert_eq!(captures[0].1.read_line(LineAddr::new(1)), [0; 8]);
-        // Point 2: exactly two mutations durable.
-        assert_eq!(captures[1].0, 2);
-        assert_eq!(captures[1].1.read_line(LineAddr::new(1)), [2; 8]);
-        // Point 100: beyond the run, resolved to the final state (clamped).
-        assert_eq!(captures[2].0, 3);
-        assert_eq!(captures[2].1.read_line(LineAddr::new(1)), [3; 8]);
-        // Captures were drained.
-        assert!(d.take_crash_captures().is_empty());
+    /// Replays the first `point` entries of `journal` onto `base`.
+    fn replay(
+        base: &PersistentDomain,
+        journal: &[DurableMutation],
+        point: u64,
+    ) -> PersistentDomain {
+        let mut image = base.crash_snapshot();
+        for m in &journal[..point as usize] {
+            image.apply(m);
+        }
+        image
     }
 
     #[test]
-    fn captured_images_carry_logs_and_overflow_lists() {
-        let mut d = PersistentDomain::new(1, 16, 16);
+    fn journal_replay_rebuilds_the_state_at_every_clock_value() {
         let t0 = ThreadId::new(0);
         let tx = TxId::new(1);
-        d.arm_crash_captures([2]);
+        let mut d = PersistentDomain::new(1, 16, 16);
+        d.memory_mut().write_word(Address::new(0x40), 9); // setup, not counted
+        let base = d.crash_snapshot();
+        d.start_journal();
+        let mut states = vec![d.crash_snapshot()];
         d.append_log(t0, LogRecord::redo(tx, LineAddr::new(1), [1; 8]))
             .unwrap();
+        states.push(d.crash_snapshot());
         d.append_overflow(t0, tx, LineAddr::new(2)).unwrap();
-        d.append_log(t0, LogRecord::commit(tx)).unwrap(); // not in the capture
-        let captures = d.take_crash_captures();
-        let image = &captures[0].1;
-        assert_eq!(image.log(t0).len(), 1, "commit marker is past the cut");
-        assert!(image.overflow_list(t0).contains(tx, LineAddr::new(2)));
-        assert!(!image.log(t0).is_committed(tx));
+        states.push(d.crash_snapshot());
+        assert!(d.append_log(t0, LogRecord::commit(tx)).is_ok());
+        states.push(d.crash_snapshot());
+        d.write_line(LineAddr::new(1), [1; 8]);
+        states.push(d.crash_snapshot());
+        d.write_word(Address::new(0x48), 5);
+        states.push(d.crash_snapshot());
+        d.append_log(t0, LogRecord::complete(tx)).unwrap();
+        states.push(d.crash_snapshot());
+        assert_eq!(d.clear_overflow_tx(t0, tx), 1);
+        states.push(d.crash_snapshot());
+        assert_eq!(d.reclaim_log(t0), 3);
+        states.push(d.crash_snapshot());
+        assert_eq!(
+            d.reclaim_log(t0),
+            0,
+            "a no-op is neither counted nor journaled"
+        );
+        let journal = d.take_journal();
+        assert_eq!(journal.len() as u64, d.mutation_count());
+        assert_eq!(
+            journal[0],
+            DurableMutation::AppendLog(t0, LogRecord::redo(tx, LineAddr::new(1), [1; 8]))
+        );
+        for (point, want) in states.iter().enumerate() {
+            let image = replay(&base, &journal, point as u64);
+            assert_eq!(image.mutation_count(), point as u64);
+            assert_eq!(&image, want, "point {point}");
+        }
+        assert_eq!(replay(&base, &journal, journal.len() as u64), d);
+    }
+
+    #[test]
+    fn journal_records_purges_and_is_dropped_by_snapshots() {
+        let t0 = ThreadId::new(0);
+        let tx = TxId::new(4);
+        let mut d = PersistentDomain::new(1, 16, 16);
+        let base = d.crash_snapshot();
+        d.start_journal();
+        d.append_log(t0, LogRecord::redo(tx, LineAddr::new(1), [1; 8]))
+            .unwrap();
+        assert_eq!(d.purge_log_tx(t0, tx), 1);
+        assert_eq!(d.purge_log_tx(t0, tx), 0);
+        let mut snap = d.crash_snapshot();
+        snap.write_word(Address::new(0), 1);
+        assert!(
+            snap.take_journal().is_empty(),
+            "a crash image never journals"
+        );
+        let journal = d.take_journal();
+        assert_eq!(journal[1], DurableMutation::PurgeLogTx(t0, tx));
+        assert_eq!(replay(&base, &journal, 2), d);
+        assert!(d.take_journal().is_empty(), "taking the journal stops it");
+    }
+
+    #[test]
+    #[should_panic(expected = "journal replay diverged")]
+    fn replay_onto_the_wrong_state_panics() {
+        let mut d = PersistentDomain::new(1, 16, 16);
+        d.apply(&DurableMutation::ReclaimLog(ThreadId::new(0)));
+    }
+
+    #[test]
+    #[should_panic(expected = "clock 0")]
+    fn the_journal_starts_at_clock_zero() {
+        let mut d = PersistentDomain::new(1, 16, 16);
+        d.write_word(Address::new(0), 1);
+        d.start_journal();
     }
 }

@@ -21,7 +21,7 @@ use crate::record::{LogRecord, RecordKind};
 /// Records of completed or aborted transactions are reclaimed by
 /// [`TransactionLog::reclaim`], mimicking the head-pointer advance of a
 /// circular buffer.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TransactionLog {
     owner: ThreadId,
     capacity_records: usize,

@@ -13,7 +13,7 @@ use dhtm_types::error::{DhtmError, Result};
 use dhtm_types::ids::{ThreadId, TxId};
 
 /// The per-thread overflow list.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OverflowList {
     owner: ThreadId,
     capacity: usize,

@@ -22,8 +22,9 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 16;
 /// One structured trace event.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
-    /// Event kind: `begin`, `commit`, `abort`, `durable`, `crash_point`,
-    /// `probes` or `run_end`.
+    /// Event kind: `begin`, `commit`, `abort`, `durable`, `probes` or
+    /// `run_end` (`crash_point` stays reserved by the schema but is no
+    /// longer emitted).
     pub kind: String,
     /// The run/cell label the event belongs to (experiment cell
     /// coordinates, spec label, ...).

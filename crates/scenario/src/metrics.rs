@@ -26,8 +26,6 @@ pub struct MetricsSink {
     pub durable_ticks: u64,
     /// Total durable mutations seen (final clock value at the last tick).
     pub durable_mutations: u64,
-    /// Armed crash points crossed.
-    pub crash_points: u64,
     /// The simulated cycle of every `stride`-th commit, in commit order —
     /// the streaming throughput series. Non-decreasing: the driver delivers
     /// observer callbacks in simulated-time order.
@@ -44,7 +42,6 @@ impl Default for MetricsSink {
             aborts: [0; AbortReason::ALL.len()],
             durable_ticks: 0,
             durable_mutations: 0,
-            crash_points: 0,
             commit_cycles: Vec::new(),
             stride: 1,
         }
@@ -154,10 +151,6 @@ impl SimObserver for MetricsSink {
     fn on_durable_tick(&mut self, ctx: &StepContext<'_>) {
         self.durable_ticks += 1;
         self.durable_mutations = self.durable_mutations.max(ctx.mutations_after);
-    }
-
-    fn on_crash_point(&mut self, _ctx: &StepContext<'_>, _point: u64) {
-        self.crash_points += 1;
     }
 }
 

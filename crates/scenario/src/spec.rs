@@ -387,6 +387,30 @@ mod tests {
     }
 
     #[test]
+    fn validation_refuses_a_bandwidth_the_memory_channel_cannot_model() {
+        // Used to validate, then panic in `MemoryChannel::new`'s range
+        // assert when the machine was built.
+        let spec = SimSpec::builder(DesignKind::Dhtm, "hash")
+            .base(BaseConfig::Small)
+            .overlay(ConfigOverlay::none().with_bandwidth_multiplier(1e-300))
+            .build_unchecked();
+        assert!(matches!(spec.validate(), Err(SpecError::InvalidConfig(_))));
+        assert!(spec.run().is_err());
+    }
+
+    #[test]
+    fn validation_refuses_an_oversized_log_buffer() {
+        // Used to validate, then abort the process on a multi-gigabyte
+        // log-buffer allocation when the machine was built.
+        let spec = SimSpec::builder(DesignKind::Dhtm, "hash")
+            .base(BaseConfig::Small)
+            .overlay(ConfigOverlay::none().with_log_buffer_entries(4_000_000_000))
+            .build_unchecked();
+        assert!(matches!(spec.validate(), Err(SpecError::InvalidConfig(_))));
+        assert!(spec.run().is_err());
+    }
+
+    #[test]
     fn derived_seed_matches_the_harness_cell_derivation() {
         let spec = SimSpec::builder(DesignKind::SoftwareOnly, "queue")
             .base(BaseConfig::Small)

@@ -105,14 +105,6 @@ impl SimObserver for TraceRecorder {
                 .field("mutations", ctx.mutations_after),
         );
     }
-
-    fn on_crash_point(&mut self, ctx: &StepContext<'_>, point: u64) {
-        self.writer.record(
-            TraceEvent::new("crash_point", &self.cell, ctx.now)
-                .on_core(ctx.core.get())
-                .field("point", point),
-        );
-    }
 }
 
 #[cfg(test)]

@@ -333,10 +333,6 @@ impl SimObserver for ProgressObserver<'_> {
     fn on_durable_tick(&mut self, ctx: &StepContext<'_>) {
         self.sink.on_durable_tick(ctx);
     }
-
-    fn on_crash_point(&mut self, ctx: &StepContext<'_>, point: u64) {
-        self.sink.on_crash_point(ctx, point);
-    }
 }
 
 /// A bound, not-yet-running server.

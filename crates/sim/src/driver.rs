@@ -24,7 +24,7 @@
 //! partial statistics. Streaming observation goes through the
 //! [`SimObserver`] interface ([`SimulationSession::step_with`] /
 //! [`Simulator::run_with_observer`]): observers receive begin/commit/abort/
-//! durable-tick/crash-point callbacks with immutable context only, so an
+//! durable-tick callbacks with immutable context only, so an
 //! observed run is bit-identical to an unobserved one. [`Simulator::run`]
 //! is the uninstrumented run-to-completion wrapper; the crash-injection
 //! subsystem (`dhtm_crash`) and the scenario metrics sink are the primary
@@ -259,7 +259,6 @@ impl Simulator {
             mem_stats_before,
             log_records_before,
             finished: false,
-            armed_points: Vec::new(),
             lock_scratch: Vec::new(),
         }
     }
@@ -323,10 +322,6 @@ where
     mem_stats_before: MemStats,
     log_records_before: u64,
     finished: bool,
-    /// Crash points armed on the durable-mutation clock, sorted ascending;
-    /// used to fire [`SimObserver::on_crash_point`] when a step's mutation
-    /// span crosses one.
-    armed_points: Vec<u64>,
     /// Scratch for the per-begin lock sort/dedup: reused across steps so
     /// the hot loop never allocates for it (the former code cloned the
     /// transaction's lock list on every begin).
@@ -344,22 +339,6 @@ impl<E: TxEngine + ?Sized, W: Workload + ?Sized> std::fmt::Debug for SimulationS
 }
 
 impl<'a, E: TxEngine + ?Sized, W: Workload + ?Sized> SimulationSession<'a, E, W> {
-    /// Arms the persistent domain to capture its exact durable image at
-    /// each of `points` on the durable-mutation clock, and remembers the
-    /// points so [`SimObserver::on_crash_point`] fires when a step crosses
-    /// one. Collect the images from the domain
-    /// (`take_crash_captures`) after the run.
-    pub fn arm_crash_points(&mut self, points: &[u64]) {
-        let mut armed: Vec<u64> = points.to_vec();
-        armed.sort_unstable();
-        armed.dedup();
-        self.machine
-            .mem
-            .domain_mut()
-            .arm_crash_captures(armed.iter().copied());
-        self.armed_points = armed;
-    }
-
     /// The scheduled time of the next event, i.e. the cycle at which the
     /// next [`SimulationSession::step`] will execute. `None` once finished.
     pub fn next_event_time(&self) -> Option<u64> {
@@ -532,7 +511,7 @@ impl<'a, E: TxEngine + ?Sized, W: Workload + ?Sized> SimulationSession<'a, E, W>
 
         // ---- Observer callbacks: all simulated state is final for this
         // step, everything handed out is immutable. Fixed order: begin,
-        // durable tick, crash points (ascending), then commit/abort. ----
+        // durable tick, then commit/abort. ----
         let mutations_after = self.machine.mem.domain().mutation_count();
         let ctx = StepContext {
             core,
@@ -549,11 +528,6 @@ impl<'a, E: TxEngine + ?Sized, W: Workload + ?Sized> SimulationSession<'a, E, W>
         }
         if mutations_after > mutations_before {
             observer.on_durable_tick(&ctx);
-            for &point in &self.armed_points {
-                if mutations_before < point && point <= mutations_after {
-                    observer.on_crash_point(&ctx, point);
-                }
-            }
         }
         if let Some(tx) = &committed {
             observer.on_commit(&ctx, tx);
@@ -882,7 +856,6 @@ mod tests {
         commits: u64,
         aborts: u64,
         durable_ticks: u64,
-        crash_points: Vec<u64>,
     }
 
     impl SimObserver for CountingObserver {
@@ -901,10 +874,6 @@ mod tests {
         fn on_durable_tick(&mut self, ctx: &StepContext<'_>) {
             assert!(ctx.mutations_after > ctx.mutations_before);
             self.durable_ticks += 1;
-        }
-        fn on_crash_point(&mut self, ctx: &StepContext<'_>, point: u64) {
-            assert!(ctx.mutations_before < point && point <= ctx.mutations_after);
-            self.crash_points.push(point);
         }
     }
 
@@ -975,101 +944,6 @@ mod tests {
         // Partial statistics can be collected at the cut.
         let partial = session.into_result().stats;
         assert_eq!(partial.committed, committed_at_cut);
-    }
-
-    /// A passthrough engine whose commits write one word durably — enough
-    /// to tick the mutation clock for the crash-point arming test.
-    #[derive(Debug, Default)]
-    struct DurableTickEngine {
-        inner: PassthroughEngine,
-    }
-
-    impl TxEngine for DurableTickEngine {
-        fn design(&self) -> DesignKind {
-            self.inner.design()
-        }
-        fn init(&mut self, machine: &mut Machine) {
-            self.inner.init(machine);
-        }
-        fn begin(
-            &mut self,
-            machine: &mut Machine,
-            core: CoreId,
-            locks: &[LockId],
-            now: u64,
-        ) -> StepOutcome {
-            self.inner.begin(machine, core, locks, now)
-        }
-        fn read(
-            &mut self,
-            machine: &mut Machine,
-            core: CoreId,
-            addr: Address,
-            now: u64,
-        ) -> StepOutcome {
-            self.inner.read(machine, core, addr, now)
-        }
-        fn write(
-            &mut self,
-            machine: &mut Machine,
-            core: CoreId,
-            addr: Address,
-            value: u64,
-            now: u64,
-        ) -> StepOutcome {
-            self.inner.write(machine, core, addr, value, now)
-        }
-        fn commit(&mut self, machine: &mut Machine, core: CoreId, now: u64) -> StepOutcome {
-            let n = self.inner.committed;
-            machine
-                .mem
-                .domain_mut()
-                .write_word(Address::new(0x8_0000 + n * 8), n);
-            self.inner.commit(machine, core, now)
-        }
-        fn last_tx_stats(&mut self, core: CoreId) -> TxStats {
-            self.inner.last_tx_stats(core)
-        }
-    }
-
-    #[test]
-    fn armed_crash_points_fire_observer_and_capture_images() {
-        // Learn the run's total durable mutations, then re-run (same seed,
-        // deterministic) with points armed through the session.
-        let total = {
-            let mut machine = Machine::new(SystemConfig::small_test());
-            let mut engine = DurableTickEngine::default();
-            let mut workload = CounterWorkload::new(4);
-            let limits = RunLimits::quick().with_target_commits(60);
-            Simulator::new().run(&mut machine, &mut engine, &mut workload, &limits);
-            machine.mem.domain().mutation_count()
-        };
-        assert!(total > 0, "durable commits tick the mutation clock");
-        let points = [total / 3, total / 2];
-
-        let mut machine = Machine::new(SystemConfig::small_test());
-        let mut engine = DurableTickEngine::default();
-        let mut workload = CounterWorkload::new(4);
-        let limits = RunLimits::quick().with_target_commits(60);
-        let sim = Simulator::new();
-        let mut session = sim.start(&mut machine, &mut engine, &mut workload, &limits);
-        session.arm_crash_points(&points);
-        let mut observer = CountingObserver::default();
-        session.run_to_completion_with(&mut observer);
-        drop(session);
-
-        let mut fired = observer.crash_points.clone();
-        fired.sort_unstable();
-        let mut expected = points.to_vec();
-        expected.sort_unstable();
-        expected.dedup();
-        assert_eq!(fired, expected, "every armed point fires exactly once");
-        let captures = machine.mem.domain_mut().take_crash_captures();
-        assert_eq!(captures.len(), expected.len());
-        for ((point, image), want) in captures.iter().zip(&expected) {
-            assert_eq!(point, want);
-            assert_eq!(image.mutation_count(), *want);
-        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The streaming observation interface of the simulation driver.
 //!
 //! A [`SimObserver`] receives a callback for every semantic event of a run
-//! — transaction begins, commits, aborts, durable-mutation-clock advances
-//! and armed crash points — *without* being able to perturb the run: every
+//! — transaction begins, commits, aborts and durable-mutation-clock
+//! advances — *without* being able to perturb the run: every
 //! callback gets immutable references only, so an observed run is
 //! bit-identical to an unobserved one (enforced by the driver's parity
 //! tests). This replaces the old one-off session flags
@@ -40,8 +40,7 @@ pub struct StepContext<'a> {
 
 /// Streaming observer of a simulation run. All methods default to no-ops;
 /// implement only what you need. Callbacks fire in a fixed order within one
-/// step: `on_begin`, `on_durable_tick`, `on_crash_point` (ascending),
-/// then `on_commit` or `on_abort`.
+/// step: `on_begin`, `on_durable_tick`, then `on_commit` or `on_abort`.
 pub trait SimObserver {
     /// A new logical transaction was fetched from the workload for
     /// `ctx.core` (fires once per logical transaction, before its first
@@ -57,12 +56,6 @@ pub trait SimObserver {
     /// The step advanced the durable-mutation clock
     /// (`ctx.mutations_after > ctx.mutations_before`).
     fn on_durable_tick(&mut self, _ctx: &StepContext<'_>) {}
-
-    /// The step carried the durable-mutation clock across crash point
-    /// `point`, which was armed via
-    /// [`crate::driver::SimulationSession::arm_crash_points`]; the domain
-    /// captured its image at exactly that point.
-    fn on_crash_point(&mut self, _ctx: &StepContext<'_>, _point: u64) {}
 }
 
 /// The do-nothing observer used by unobserved runs.
@@ -90,6 +83,5 @@ mod tests {
             domain: &domain,
         };
         obs.on_durable_tick(&ctx);
-        obs.on_crash_point(&ctx, 0);
     }
 }

@@ -18,6 +18,19 @@
 use crate::addr::LINE_SIZE;
 use crate::policy::ConflictPolicy;
 
+/// Lowest memory bandwidth, in bytes per core cycle, a configuration may
+/// resolve to: `2^-16`, the bottom of the range the NVM channel model's
+/// integer arithmetic supports.
+pub const MIN_BYTES_PER_CYCLE: f64 = 1.0 / 65536.0;
+
+/// Highest memory bandwidth, in bytes per core cycle: `2^16`.
+pub const MAX_BYTES_PER_CYCLE: f64 = 65536.0;
+
+/// Largest accepted DHTM log buffer, in entries. Figure 6 sweeps 4..128;
+/// the cap leaves ample room above that while keeping the per-core buffer
+/// allocation small enough to always succeed.
+pub const MAX_LOG_BUFFER_ENTRIES: usize = 1 << 16;
+
 /// Geometry of a set-associative cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheGeometry {
@@ -271,11 +284,17 @@ impl SystemConfig {
         if self.num_cores == 0 {
             return Err("num_cores must be > 0".into());
         }
-        if self.log_buffer_entries == 0 {
-            return Err("log_buffer_entries must be > 0".into());
+        if !(1..=MAX_LOG_BUFFER_ENTRIES).contains(&self.log_buffer_entries) {
+            return Err(format!(
+                "log_buffer_entries must lie within [1, {MAX_LOG_BUFFER_ENTRIES}], got {}",
+                self.log_buffer_entries
+            ));
         }
-        if self.bytes_per_cycle() <= 0.0 {
-            return Err("memory bandwidth must be positive".into());
+        let bpc = self.bytes_per_cycle();
+        if !(MIN_BYTES_PER_CYCLE..=MAX_BYTES_PER_CYCLE).contains(&bpc) {
+            return Err(format!(
+                "memory bandwidth must lie within [2^-16, 2^16] bytes per cycle, got {bpc}"
+            ));
         }
         if self.llc.capacity_bytes < self.l1.capacity_bytes {
             return Err("LLC must be at least as large as one L1".into());
@@ -508,6 +527,30 @@ mod tests {
         let mut cfg = SystemConfig::small_test();
         cfg.read_signature_bits = 100;
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn validation_bounds_match_the_constructors() {
+        let mut cfg = SystemConfig::small_test();
+        cfg.log_buffer_entries = MAX_LOG_BUFFER_ENTRIES;
+        assert!(cfg.validate().is_ok());
+        cfg.log_buffer_entries = MAX_LOG_BUFFER_ENTRIES + 1;
+        assert!(cfg.validate().is_err());
+
+        let base = SystemConfig::small_test().bytes_per_cycle();
+        for (multiplier, ok) in [
+            (1.01 * MIN_BYTES_PER_CYCLE / base, true),
+            (0.99 * MAX_BYTES_PER_CYCLE / base, true),
+            (1e-300, false),
+            (1e300, false),
+            (f64::NAN, false),
+            (f64::INFINITY, false),
+            (0.0, false),
+            (-1.0, false),
+        ] {
+            let cfg = SystemConfig::small_test().with_bandwidth_multiplier(multiplier);
+            assert_eq!(cfg.validate().is_ok(), ok, "multiplier {multiplier}");
+        }
     }
 
     #[test]
