@@ -18,11 +18,8 @@ use dhtm_types::policy::DesignKind;
 use dhtm_types::stats::{AbortReason, TxStats};
 
 use dhtm_sim::engine::{StepOutcome, TxEngine};
-use dhtm_sim::locks::{LockId, LockTable};
+use dhtm_sim::locks::{LockId, LOCK_SPIN};
 use dhtm_sim::machine::Machine;
-
-/// Cycles a core spins before re-checking a contended lock.
-const LOCK_SPIN: u64 = 60;
 
 #[derive(Debug, Clone, Default)]
 struct AtomCore {
@@ -43,7 +40,6 @@ struct AtomCore {
 #[derive(Debug)]
 pub struct AtomEngine {
     cores: Vec<AtomCore>,
-    locks: LockTable,
     lock_acquire: u64,
     lock_release: u64,
     /// Reusable buffer for the abort path's undo walk: `(line,
@@ -56,7 +52,6 @@ impl AtomEngine {
     pub fn new(cfg: &SystemConfig) -> Self {
         AtomEngine {
             cores: Vec::new(),
-            locks: LockTable::new(),
             lock_acquire: cfg.software.lock_acquire,
             lock_release: cfg.software.lock_release,
             undo_scratch: Vec::new(),
@@ -136,7 +131,7 @@ impl AtomEngine {
             machine.mem.domain_mut().purge_log_tx(thread, tx);
         }
         machine.mem.domain_mut().reclaim_log(thread);
-        self.locks.release_all(core);
+        machine.locks.release_all(core);
         StepOutcome::Aborted {
             at,
             retry_at: at,
@@ -152,7 +147,6 @@ impl TxEngine for AtomEngine {
 
     fn init(&mut self, machine: &mut Machine) {
         self.cores = vec![AtomCore::default(); machine.num_cores()];
-        self.locks = LockTable::new();
     }
 
     fn begin(
@@ -163,9 +157,10 @@ impl TxEngine for AtomEngine {
         now: u64,
     ) -> StepOutcome {
         let start = now.max(self.cores[core.get()].next_begin_at);
-        if !self.locks.try_acquire_all(core, lock_set) {
-            return StepOutcome::Stall {
+        if !machine.locks.try_acquire_all(core, lock_set) {
+            return StepOutcome::Blocked {
                 retry_at: start + LOCK_SPIN,
+                period: LOCK_SPIN,
             };
         }
         let c = &mut self.cores[core.get()];
@@ -282,7 +277,7 @@ impl TxEngine for AtomEngine {
             .append_log(thread, LogRecord::complete(tx));
         machine.mem.domain_mut().reclaim_log(thread);
 
-        self.locks.release_all(core);
+        machine.locks.release_all(core);
         let release_done = commit_done + self.lock_release;
         let c = &mut self.cores[core.get()];
         c.next_begin_at = release_done;
@@ -391,9 +386,12 @@ mod tests {
     fn locks_serialize_conflicting_transactions() {
         let (mut m, mut e) = setup();
         assert!(e.begin(&mut m, c(0), &[LockId(3)], 0).is_done());
-        assert!(matches!(
+        assert_eq!(
             e.begin(&mut m, c(1), &[LockId(3)], 0),
-            StepOutcome::Stall { .. }
-        ));
+            StepOutcome::Blocked {
+                retry_at: LOCK_SPIN,
+                period: LOCK_SPIN
+            }
+        );
     }
 }

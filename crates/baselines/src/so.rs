@@ -24,11 +24,8 @@ use dhtm_types::policy::DesignKind;
 use dhtm_types::stats::{AbortReason, TxStats};
 
 use dhtm_sim::engine::{StepOutcome, TxEngine};
-use dhtm_sim::locks::{LockId, LockTable};
+use dhtm_sim::locks::{LockId, LOCK_SPIN};
 use dhtm_sim::machine::Machine;
-
-/// Cycles a core spins before re-checking a contended lock.
-const LOCK_SPIN: u64 = 60;
 
 /// Per-core state of the SO engine.
 #[derive(Debug, Clone, Default)]
@@ -57,7 +54,6 @@ struct SoCore {
 #[derive(Debug)]
 pub struct SoEngine {
     cores: Vec<SoCore>,
-    locks: LockTable,
     log_entry_setup: u64,
     persist_fence: u64,
     lock_acquire: u64,
@@ -69,7 +65,6 @@ impl SoEngine {
     pub fn new(cfg: &SystemConfig) -> Self {
         SoEngine {
             cores: Vec::new(),
-            locks: LockTable::new(),
             log_entry_setup: cfg.software.log_entry_setup,
             persist_fence: cfg.software.persist_fence,
             lock_acquire: cfg.software.lock_acquire,
@@ -112,7 +107,6 @@ impl TxEngine for SoEngine {
 
     fn init(&mut self, machine: &mut Machine) {
         self.cores = vec![SoCore::default(); machine.num_cores()];
-        self.locks = LockTable::new();
     }
 
     fn begin(
@@ -123,9 +117,10 @@ impl TxEngine for SoEngine {
         now: u64,
     ) -> StepOutcome {
         let start = now.max(self.cores[core.get()].next_begin_at);
-        if !self.locks.try_acquire_all(core, lock_set) {
-            return StepOutcome::Stall {
+        if !machine.locks.try_acquire_all(core, lock_set) {
+            return StepOutcome::Blocked {
                 retry_at: start + LOCK_SPIN,
+                period: LOCK_SPIN,
             };
         }
         let c = &mut self.cores[core.get()];
@@ -217,7 +212,7 @@ impl TxEngine for SoEngine {
             // uncommitted records would occupy log space forever.
             machine.mem.domain_mut().purge_log_tx(thread, tx);
             machine.mem.domain_mut().reclaim_log(thread);
-            self.locks.release_all(core);
+            machine.locks.release_all(core);
             self.cores[core.get()].active = false;
             return StepOutcome::Aborted {
                 at: done,
@@ -275,7 +270,7 @@ impl TxEngine for SoEngine {
             .append_log(thread, LogRecord::complete(tx));
         machine.mem.domain_mut().reclaim_log(thread);
 
-        self.locks.release_all(core);
+        machine.locks.release_all(core);
         let release_done = commit_done + self.lock_release;
         let c = &mut self.cores[core.get()];
         c.active = false;
@@ -333,9 +328,17 @@ mod tests {
         let (mut m, mut e) = setup();
         assert!(e.begin(&mut m, c(0), &[LockId(5)], 0).is_done());
         let out = e.begin(&mut m, c(1), &[LockId(5)], 10);
-        assert!(matches!(out, StepOutcome::Stall { .. }));
+        assert_eq!(
+            out,
+            StepOutcome::Blocked {
+                retry_at: 10 + LOCK_SPIN,
+                period: LOCK_SPIN
+            }
+        );
+        assert_eq!(m.locks.contended_attempts(), 1);
         // After core 0 commits, core 1 can proceed.
         e.commit(&mut m, c(0), 100);
+        assert_eq!(m.locks.releases(), 1);
         assert!(e.begin(&mut m, c(1), &[LockId(5)], 5000).is_done());
     }
 

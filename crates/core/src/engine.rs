@@ -30,7 +30,7 @@ use dhtm_types::stats::{AbortReason, TxStats};
 use dhtm_htm::arbiter::{ArbiterConfig, HtmArbiter};
 use dhtm_htm::tx_state::{HtmCoreState, TxStatus};
 use dhtm_sim::engine::{StepOutcome, TxEngine};
-use dhtm_sim::locks::{LockId, LockTable};
+use dhtm_sim::locks::{LockId, FALLBACK_SPIN};
 use dhtm_sim::machine::Machine;
 
 use crate::options::DhtmOptions;
@@ -54,7 +54,6 @@ pub struct DhtmEngine {
     signature_bits: usize,
     log_buffer_entries: usize,
     max_retries: usize,
-    fallback_lock: LockTable,
     in_fallback: Vec<bool>,
     /// Word values stored by each core's current *fallback* transaction.
     /// The fallback runs write-aside — the durable log, not the cache,
@@ -91,7 +90,6 @@ impl DhtmEngine {
             signature_bits: cfg.read_signature_bits,
             log_buffer_entries: cfg.log_buffer_entries,
             max_retries: cfg.max_htm_retries,
-            fallback_lock: LockTable::new(),
             in_fallback: Vec::new(),
             fallback_values: Vec::new(),
             fallback_commits: 0,
@@ -174,7 +172,7 @@ impl DhtmEngine {
         // transaction being aborted, not to the core's next one.
         let _ = machine.mem.take_speculative_loss(core);
         if self.in_fallback[core.get()] {
-            self.fallback_lock.release_all(core);
+            machine.locks.release_all(core);
             self.in_fallback[core.get()] = false;
             // Write-aside fallback lines are clean but hold the aborted
             // values; discard them so neither later reads nor later log
@@ -329,7 +327,6 @@ impl TxEngine for DhtmEngine {
             .collect();
         self.in_fallback = vec![false; n];
         self.fallback_values = vec![std::collections::BTreeMap::new(); n];
-        self.fallback_lock = LockTable::new();
         self.fallback_commits = 0;
     }
 
@@ -344,15 +341,17 @@ impl TxEngine for DhtmEngine {
         // its write-backs (Section III-B).
         let start = now.max(self.states[core.get()].next_begin_at);
         if self.states[core.get()].aborts_this_tx > self.max_retries {
-            if !self.fallback_lock.try_acquire_all(core, &[LockId::GLOBAL]) {
-                return StepOutcome::Stall {
-                    retry_at: start + 64,
+            if !machine.locks.try_acquire_all(core, &[LockId::GLOBAL]) {
+                return StepOutcome::Blocked {
+                    retry_at: start + FALLBACK_SPIN,
+                    period: FALLBACK_SPIN,
                 };
             }
             self.in_fallback[core.get()] = true;
-        } else if self.fallback_lock.is_held(LockId::GLOBAL) {
-            return StepOutcome::Stall {
-                retry_at: start + 64,
+        } else if machine.locks.is_held(LockId::GLOBAL) {
+            return StepOutcome::Blocked {
+                retry_at: start + FALLBACK_SPIN,
+                period: FALLBACK_SPIN,
             };
         }
         let tx = machine.tx_ids.allocate();
@@ -615,7 +614,7 @@ impl TxEngine for DhtmEngine {
             completion = commit_at;
         }
         if self.in_fallback[core.get()] {
-            self.fallback_lock.release_all(core);
+            machine.locks.release_all(core);
             self.in_fallback[core.get()] = false;
             self.fallback_commits += 1;
         }

@@ -14,6 +14,13 @@
 //! 1–16 cores — record the exact `(pop time, core, re-push time)` trace
 //! the calendar queue produced, and replay it against a plain
 //! `BinaryHeap`. Every pop must match event-for-event.
+//!
+//! The engines run through [`Polling`], so the driver never parks a
+//! lock-blocked core: every step re-pushes its core at its post-step clock,
+//! which is what the replay assumes, and the queue sees the full polling
+//! schedule. (A parked core leaves the queue and re-enters only after a
+//! lock release, at a time the trace would not show; that path is checked
+//! against the polling runs by `parking_equivalence`.)
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -23,7 +30,7 @@ use proptest::prelude::*;
 use dhtm_baselines::EngineRegistry;
 use dhtm_scenario::{ResolvedSpec, SpecLimits};
 use dhtm_sim::driver::StepEvent;
-use dhtm_sim::Simulator;
+use dhtm_sim::{Polling, Simulator};
 use dhtm_types::config::BaseConfig;
 
 /// One scheduled event as the driver executed it: the time and core the
@@ -32,8 +39,8 @@ type TraceEntry = (u64, usize, u64);
 
 /// Runs `(engine, workload, cores, seed)` through the real driver and
 /// records its complete schedule trace. The re-push time comes from
-/// `StepEvent::Progress::time` — the driver always re-schedules the
-/// stepped core at its post-step local clock.
+/// `StepEvent::Progress::time` — without parking, the driver always
+/// re-schedules the stepped core at its post-step local clock.
 fn schedule_trace(engine_idx: usize, workload: &str, cores: usize, seed: u64) -> Vec<TraceEntry> {
     let ids = EngineRegistry::builtin().ids();
     let engine_id = ids[engine_idx % ids.len()].clone();
@@ -55,7 +62,8 @@ fn schedule_trace(engine_idx: usize, workload: &str, cores: usize, seed: u64) ->
         },
         seed,
     );
-    let (mut machine, mut engine, mut workload, limits) = resolved.components();
+    let (mut machine, engine, mut workload, limits) = resolved.components();
+    let mut engine = Polling(engine);
     let sim = Simulator::new();
     let mut session = sim.start(&mut machine, &mut engine, workload.as_mut(), &limits);
     let mut trace = Vec::new();

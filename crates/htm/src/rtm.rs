@@ -16,7 +16,7 @@ use dhtm_types::policy::{ConflictPolicy, DesignKind};
 use dhtm_types::stats::{AbortReason, TxStats};
 
 use dhtm_sim::engine::{StepOutcome, TxEngine};
-use dhtm_sim::locks::{LockId, LockTable};
+use dhtm_sim::locks::{LockId, FALLBACK_SPIN};
 use dhtm_sim::machine::Machine;
 
 use crate::arbiter::{ArbiterConfig, HtmArbiter};
@@ -34,7 +34,6 @@ pub struct RtmEngine {
     policy: ConflictPolicy,
     signature_bits: usize,
     max_retries: usize,
-    fallback_lock: LockTable,
     in_fallback: Vec<bool>,
     fallback_commits: u64,
     /// Reusable buffer for the abort path's write-set flash-invalidate, so
@@ -50,7 +49,6 @@ impl RtmEngine {
             policy: cfg.conflict_policy,
             signature_bits: cfg.read_signature_bits,
             max_retries: cfg.max_htm_retries,
-            fallback_lock: LockTable::new(),
             in_fallback: Vec::new(),
             fallback_commits: 0,
             scratch_lines: Vec::new(),
@@ -98,7 +96,7 @@ impl RtmEngine {
     ) -> StepOutcome {
         if self.in_fallback[core.get()] {
             // Fallback transactions cannot abort; they hold the global lock.
-            self.fallback_lock.release_all(core);
+            machine.locks.release_all(core);
             self.in_fallback[core.get()] = false;
         }
         machine
@@ -160,7 +158,6 @@ impl TxEngine for RtmEngine {
             .map(|_| HtmCoreState::new(self.signature_bits))
             .collect();
         self.in_fallback = vec![false; n];
-        self.fallback_lock = LockTable::new();
         self.fallback_commits = 0;
     }
 
@@ -174,17 +171,19 @@ impl TxEngine for RtmEngine {
         let start = now.max(self.states[core.get()].next_begin_at);
         // Exhausted hardware retries: take the single-global-lock fallback.
         if self.states[core.get()].aborts_this_tx > self.max_retries {
-            if !self.fallback_lock.try_acquire_all(core, &[LockId::GLOBAL]) {
-                return StepOutcome::Stall {
-                    retry_at: start + 64,
+            if !machine.locks.try_acquire_all(core, &[LockId::GLOBAL]) {
+                return StepOutcome::Blocked {
+                    retry_at: start + FALLBACK_SPIN,
+                    period: FALLBACK_SPIN,
                 };
             }
             self.in_fallback[core.get()] = true;
-        } else if self.fallback_lock.is_held(LockId::GLOBAL) {
+        } else if machine.locks.is_held(LockId::GLOBAL) {
             // A fallback transaction is running; hardware transactions wait
             // for it (the standard RTM lock-elision subscription).
-            return StepOutcome::Stall {
-                retry_at: start + 64,
+            return StepOutcome::Blocked {
+                retry_at: start + FALLBACK_SPIN,
+                period: FALLBACK_SPIN,
             };
         }
         let tx = machine.tx_ids.allocate();
@@ -284,7 +283,7 @@ impl TxEngine for RtmEngine {
         }
         let done = now + COMMIT_OVERHEAD;
         if self.in_fallback[core.get()] {
-            self.fallback_lock.release_all(core);
+            machine.locks.release_all(core);
             self.in_fallback[core.get()] = false;
             self.fallback_commits += 1;
         } else {
@@ -453,15 +452,16 @@ mod tests {
         assert!(e.in_fallback[0]);
         // A second core cannot start a fallback transaction concurrently.
         e.states[1].aborts_this_tx = cfg.max_htm_retries + 1;
-        assert!(matches!(
-            e.begin(&mut m, c(1), &[], 0),
-            StepOutcome::Stall { .. }
-        ));
-        // And a hardware transaction waits for the global lock too.
-        assert!(matches!(
-            e.begin(&mut m, c(2), &[], 0),
-            StepOutcome::Stall { .. }
-        ));
+        let blocked = StepOutcome::Blocked {
+            retry_at: FALLBACK_SPIN,
+            period: FALLBACK_SPIN,
+        };
+        assert_eq!(e.begin(&mut m, c(1), &[], 0), blocked);
+        assert_eq!(m.locks.contended_attempts(), 1);
+        // And a hardware transaction waits for the global lock too; that
+        // subscription wait is not an acquisition attempt.
+        assert_eq!(e.begin(&mut m, c(2), &[], 0), blocked);
+        assert_eq!(m.locks.contended_attempts(), 1);
         assert!(e.write(&mut m, c(0), Address::new(0x40), 1, 10).is_done());
         assert!(e.commit(&mut m, c(0), 100).is_done());
         assert_eq!(e.fallback_commits(), 1);

@@ -10,6 +10,24 @@
 //! bit-for-bit reproducible across all three implementations and any
 //! worker-pool sharding built on top.
 //!
+//! **Parked cores.** A core whose `begin` finds its locks busy
+//! ([`StepOutcome::Blocked`]) would, in the polling model the statistics
+//! describe, re-issue that `begin` every `period` cycles until a lock is
+//! released; each such poll fails and changes nothing but its own stall
+//! counters. So the driver takes the core off the queue ("parks" it) and
+//! puts it back only after a step that released a lock
+//! ([`LockTable::releases`](crate::locks::LockTable::releases) moved): at
+//! the first point `p` of its poll grid `time + k * period` with
+//! `(p, core) > (now, releasing core)`, the position its next poll holds in
+//! the queue's `(time, index)` order. The polls it skipped are settled
+//! arithmetically: each adds one step, `period` stall and lock-wait cycles,
+//! and a contended attempt if the real poll counted one. Settling also
+//! happens at every exit (the commit target, `max_cycles`, an empty queue)
+//! and in [`SimulationSession::into_result`] at any cut, so every
+//! [`RunStats`] field, `steps` included, equals the polling run's. The
+//! [`Polling`](crate::engine::Polling) adapter replays the polling model
+//! for the equivalence tests.
+//!
 //! The driver is generic over the engine, workload and observer types: the
 //! canonical engines run through `dhtm_baselines`' closed `EngineDispatch`
 //! enum, so the step loop's engine calls are match dispatch (inlinable)
@@ -142,6 +160,18 @@ impl CoreState {
     }
 }
 
+/// A core parked on a busy lock: off the event queue, with
+/// `CoreState::time` holding its next poll point.
+#[derive(Debug, Clone, Copy)]
+struct Parked {
+    core: usize,
+    /// Cycles between the core's polls.
+    period: u64,
+    /// Whether each poll counts a contended attempt (a failed acquisition,
+    /// as opposed to waiting for a held fallback lock).
+    contended: bool,
+}
+
 /// The deterministic simulation driver.
 #[derive(Debug, Default)]
 pub struct Simulator {
@@ -245,6 +275,7 @@ impl Simulator {
         for i in 0..num_cores {
             events.push(0, i);
         }
+        let machine_releases = machine.locks.releases();
 
         SimulationSession {
             backoff_base: self.backoff_base,
@@ -260,6 +291,9 @@ impl Simulator {
             log_records_before,
             finished: false,
             lock_scratch: Vec::new(),
+            parked: Vec::new(),
+            releases_seen: machine_releases,
+            last_event: (0, 0),
         }
     }
 }
@@ -326,6 +360,12 @@ where
     /// the hot loop never allocates for it (the former code cloned the
     /// transaction's lock list on every begin).
     lock_scratch: Vec<crate::locks::LockId>,
+    /// Cores parked on a busy lock (see the module docs).
+    parked: Vec<Parked>,
+    /// The lock table's release count as of the last wake check.
+    releases_seen: u64,
+    /// The last processed event, `(now, core)`.
+    last_event: (u64, usize),
 }
 
 impl<E: TxEngine + ?Sized, W: Workload + ?Sized> std::fmt::Debug for SimulationSession<'_, E, W> {
@@ -339,8 +379,9 @@ impl<E: TxEngine + ?Sized, W: Workload + ?Sized> std::fmt::Debug for SimulationS
 }
 
 impl<'a, E: TxEngine + ?Sized, W: Workload + ?Sized> SimulationSession<'a, E, W> {
-    /// The scheduled time of the next event, i.e. the cycle at which the
-    /// next [`SimulationSession::step`] will execute. `None` once finished.
+    /// The cycle at which the next [`SimulationSession::step`] will
+    /// execute, i.e. the next *executed* step: the polls of parked cores
+    /// are not executed, so they never show here. `None` once finished.
     pub fn next_event_time(&self) -> Option<u64> {
         if self.finished || self.total_committed >= self.limits.target_commits {
             return None;
@@ -376,6 +417,42 @@ impl<'a, E: TxEngine + ?Sized, W: Workload + ?Sized> SimulationSession<'a, E, W>
         raw.min(self.backoff_cap) + (core.get() as u64) * 7
     }
 
+    /// Accounts the polls parked core `p` skipped before the cut `bound`
+    /// (exclusive, in the queue's `(time, index)` order): each is a failed
+    /// `begin` that stalled `period` cycles. Afterwards the core's clock is
+    /// its first poll point past the cut, so settling again at the same or
+    /// an earlier cut adds nothing.
+    fn settle(&mut self, p: Parked, bound: (u64, usize)) {
+        let time = self.cores.time[p.core];
+        if (time, p.core) >= bound {
+            return;
+        }
+        // A poll at the cut's cycle comes first iff its core index is lower.
+        let last = if p.core < bound.1 {
+            bound.0
+        } else {
+            bound.0 - 1
+        };
+        let polls = (last - time) / p.period + 1;
+        let wait = polls * p.period;
+        let stats = &mut self.cores.stats[p.core];
+        stats.steps += polls;
+        stats.total_stall_cycles += wait;
+        stats.lock_wait_cycles += wait;
+        if p.contended {
+            self.machine.locks.add_contended_attempts(polls);
+        }
+        self.cores.time[p.core] = time + wait;
+    }
+
+    /// Ends the run, settling every parked core's polls before `bound`.
+    fn finish(&mut self, bound: (u64, usize)) {
+        self.finished = true;
+        for i in 0..self.parked.len() {
+            self.settle(self.parked[i], bound);
+        }
+    }
+
     /// Processes the next event. Returns what happened; once the run's
     /// limits are reached every further call returns [`StepEvent::Finished`].
     pub fn step(&mut self) -> StepEvent {
@@ -390,20 +467,25 @@ impl<'a, E: TxEngine + ?Sized, W: Workload + ?Sized> SimulationSession<'a, E, W>
             return StepEvent::Finished;
         }
         if self.total_committed >= self.limits.target_commits {
-            self.finished = true;
+            self.finish(self.last_event);
             return StepEvent::Finished;
         }
+        // Parked cores poll up to the cycle limit, also once none is queued.
+        let horizon = (self.limits.max_cycles, 0);
         let Some((now, core_idx)) = self.events.pop() else {
-            self.finished = true;
+            self.finish(horizon);
             return StepEvent::Finished;
         };
         debug_assert_eq!(now, self.cores.time[core_idx], "stale event-queue entry");
         if now >= self.limits.max_cycles {
-            self.finished = true;
+            self.finish(horizon);
             return StepEvent::Finished;
         }
+        self.last_event = (now, core_idx);
         let core = CoreId::new(core_idx);
         let mutations_before = self.machine.mem.domain().mutation_count();
+        let contended_before = self.machine.locks.contended_attempts();
+        let mut parked = None;
         let mut fetched = false;
         let mut committed = None;
         let mut aborted_reason = None;
@@ -478,16 +560,16 @@ impl<'a, E: TxEngine + ?Sized, W: Workload + ?Sized> SimulationSession<'a, E, W>
                     }
                 }
             }
-            StepOutcome::Stall { retry_at } => {
-                let wait = retry_at.saturating_sub(now).max(1);
-                let stats = &mut self.cores.stats[core_idx];
-                stats.total_stall_cycles += wait;
-                match step_kind {
-                    Step::Begin => stats.lock_wait_cycles += wait,
-                    Step::Commit => stats.commit_stall_cycles += wait,
-                    Step::Op => {}
-                }
-                self.cores.time[core_idx] = now + wait;
+            StepOutcome::Stall { retry_at } => self.stall(core_idx, step_kind, now, retry_at),
+            StepOutcome::Blocked { retry_at, period } => {
+                debug_assert!(matches!(step_kind, Step::Begin), "only begin blocks");
+                debug_assert!(period > 0, "a poll period is at least one cycle");
+                self.stall(core_idx, step_kind, now, retry_at);
+                parked = Some(Parked {
+                    core: core_idx,
+                    period,
+                    contended: self.machine.locks.contended_attempts() > contended_before,
+                });
             }
             StepOutcome::Aborted {
                 at,
@@ -507,7 +589,21 @@ impl<'a, E: TxEngine + ?Sized, W: Workload + ?Sized> SimulationSession<'a, E, W>
 
         let t = self.cores.time[core_idx];
         self.cores.stats[core_idx].steps += 1;
-        self.events.push(t, core_idx);
+        match parked {
+            Some(p) => self.parked.push(p),
+            None => self.events.push(t, core_idx),
+        }
+        let releases = self.machine.locks.releases();
+        if releases != self.releases_seen {
+            self.releases_seen = releases;
+            // Wake every parked core at its first poll after this step.
+            for i in 0..self.parked.len() {
+                let p = self.parked[i];
+                self.settle(p, (now, core_idx));
+                self.events.push(self.cores.time[p.core], p.core);
+            }
+            self.parked.clear();
+        }
 
         // ---- Observer callbacks: all simulated state is final for this
         // step, everything handed out is immutable. Fixed order: begin,
@@ -543,6 +639,19 @@ impl<'a, E: TxEngine + ?Sized, W: Workload + ?Sized> SimulationSession<'a, E, W>
         }
     }
 
+    /// Accounts a step that must be re-issued at `retry_at`.
+    fn stall(&mut self, core_idx: usize, step_kind: Step, now: u64, retry_at: u64) {
+        let wait = retry_at.saturating_sub(now).max(1);
+        let stats = &mut self.cores.stats[core_idx];
+        stats.total_stall_cycles += wait;
+        match step_kind {
+            Step::Begin => stats.lock_wait_cycles += wait,
+            Step::Commit => stats.commit_stall_cycles += wait,
+            Step::Op => {}
+        }
+        self.cores.time[core_idx] = now + wait;
+    }
+
     /// Steps until the run's limits are reached.
     pub fn run_to_completion(&mut self) {
         while !matches!(self.step(), StepEvent::Finished) {}
@@ -554,10 +663,12 @@ impl<'a, E: TxEngine + ?Sized, W: Workload + ?Sized> SimulationSession<'a, E, W>
         while !matches!(self.step_with(observer), StepEvent::Finished) {}
     }
 
-    /// Collects the result accumulated so far: the per-core statistic
-    /// batches are merged and the machine-global memory-system deltas added.
-    /// Valid at any cut point, not just at completion.
+    /// Collects the result accumulated so far: the polls parked cores
+    /// skipped before the last processed event are settled, the per-core
+    /// statistic batches merged and the machine-global memory-system deltas
+    /// added. Valid at any cut point, not just at completion.
     pub fn into_result(mut self) -> SimulationResult {
+        self.finish(self.last_event);
         for (stats, &time) in self.cores.stats.iter_mut().zip(&self.cores.time) {
             stats.total_cycles = time;
         }
@@ -586,6 +697,7 @@ impl<'a, E: TxEngine + ?Sized, W: Workload + ?Sized> SimulationSession<'a, E, W>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Polling;
     use crate::locks::LockId;
     use dhtm_coherence::probe::NoConflicts;
     use dhtm_types::addr::Address;
@@ -944,6 +1056,234 @@ mod tests {
         // Partial statistics can be collected at the cut.
         let partial = session.into_result().stats;
         assert_eq!(partial.committed, committed_at_cut);
+    }
+
+    /// A lock-based engine with no memory traffic: `begin` takes the
+    /// transaction's lock set from the machine's lock table and reports
+    /// `Blocked` with a per-core poll period while a lock is busy; `commit`
+    /// releases the set unless `leak_locks` is set.
+    #[derive(Debug, Default)]
+    struct LockEngine {
+        leak_locks: bool,
+    }
+
+    impl TxEngine for LockEngine {
+        fn design(&self) -> DesignKind {
+            DesignKind::SoftwareOnly
+        }
+        fn init(&mut self, _machine: &mut Machine) {}
+        fn begin(
+            &mut self,
+            machine: &mut Machine,
+            core: CoreId,
+            locks: &[LockId],
+            now: u64,
+        ) -> StepOutcome {
+            if machine.locks.try_acquire_all(core, locks) {
+                return StepOutcome::done(now + 2);
+            }
+            let period = 50 + 3 * core.get() as u64;
+            StepOutcome::Blocked {
+                retry_at: now + period,
+                period,
+            }
+        }
+        fn read(
+            &mut self,
+            _machine: &mut Machine,
+            _core: CoreId,
+            _addr: Address,
+            now: u64,
+        ) -> StepOutcome {
+            StepOutcome::done(now + 3)
+        }
+        fn write(
+            &mut self,
+            _machine: &mut Machine,
+            _core: CoreId,
+            _addr: Address,
+            _value: u64,
+            now: u64,
+        ) -> StepOutcome {
+            StepOutcome::done(now + 4)
+        }
+        fn commit(&mut self, machine: &mut Machine, core: CoreId, now: u64) -> StepOutcome {
+            if !self.leak_locks {
+                machine.locks.release_all(core);
+            }
+            StepOutcome::done(now + 1)
+        }
+    }
+
+    /// Which locks the `n`-th transaction on core `i` takes.
+    type LockOf = fn(usize, u64) -> Vec<LockId>;
+
+    /// A workload whose `n`-th transaction on core `i` takes the locks
+    /// `lock_of(i, n)`.
+    #[derive(Debug)]
+    struct LockWorkload {
+        fetched: Vec<u64>,
+        lock_of: LockOf,
+    }
+
+    impl Workload for LockWorkload {
+        fn name(&self) -> &'static str {
+            "locks"
+        }
+        fn next_transaction(&mut self, core: CoreId) -> Transaction {
+            let i = core.get();
+            let n = self.fetched[i];
+            self.fetched[i] += 1;
+            let addr = Address::new(0x1000 * (i as u64 + 1));
+            Transaction::new(
+                vec![
+                    TxOp::Read(addr),
+                    TxOp::Compute(100 + 7 * i as u64),
+                    TxOp::Write(addr, n),
+                ],
+                (self.lock_of)(i, n),
+                "locks",
+            )
+        }
+    }
+
+    /// What a [`lock_run`] left behind at its stop.
+    #[derive(Debug, PartialEq)]
+    struct LockRunEnd {
+        stats: RunStats,
+        contended_attempts: u64,
+        last_event: (u64, usize),
+    }
+
+    /// Runs [`LockWorkload`] on 4 cores under `engine` until `stop` holds
+    /// after a step (or the run finishes), then takes the result. Returns
+    /// the end state and the number of cores parked at the stop.
+    fn lock_run<E: TxEngine>(
+        mut engine: E,
+        lock_of: LockOf,
+        limits: RunLimits,
+        mut stop: impl FnMut(&SimulationSession<'_, E, LockWorkload>) -> bool,
+    ) -> (LockRunEnd, usize) {
+        let mut machine = Machine::new(SystemConfig::small_test());
+        let mut workload = LockWorkload {
+            fetched: vec![0; 4],
+            lock_of,
+        };
+        let sim = Simulator::new();
+        let mut session = sim.start(&mut machine, &mut engine, &mut workload, &limits);
+        while !matches!(session.step(), StepEvent::Finished) && !stop(&session) {}
+        let parked = session.parked.len();
+        let last_event = session.last_event;
+        let stats = session.into_result().stats;
+        let end = LockRunEnd {
+            stats,
+            contended_attempts: machine.locks.contended_attempts(),
+            last_event,
+        };
+        (end, parked)
+    }
+
+    /// The parked run and the polling run of the same setup, each stopped
+    /// by its own `stop`.
+    fn parked_and_polling(
+        leak_locks: bool,
+        lock_of: LockOf,
+        limits: RunLimits,
+    ) -> ((LockRunEnd, usize), LockRunEnd) {
+        let parked = lock_run(LockEngine { leak_locks }, lock_of, limits, |_| false);
+        let polling = lock_run(Polling(LockEngine { leak_locks }), lock_of, limits, |_| {
+            false
+        });
+        (parked, polling.0)
+    }
+
+    #[test]
+    fn target_reached_with_cores_parked_settles_like_polling() {
+        // Cores 0-2 share one lock; core 3 takes none, so its commits
+        // release nothing and can reach the target while the others wait.
+        let lock_of: LockOf = |i, _| if i < 3 { vec![LockId(0)] } else { vec![] };
+        let mut ended_with_parked = 0;
+        for target in 1..40 {
+            let limits = RunLimits::quick().with_target_commits(target);
+            let (parked, polling) = parked_and_polling(false, lock_of, limits);
+            assert_eq!(parked.0.stats, polling.stats, "target {target}");
+            assert_eq!(parked.0.contended_attempts, polling.contended_attempts);
+            ended_with_parked += usize::from(parked.1 > 0);
+        }
+        assert!(ended_with_parked > 0, "no target left a core parked");
+    }
+
+    #[test]
+    fn max_cycles_with_cores_parked_settles_like_polling() {
+        // Every limit in a window, so some land exactly on a parked core's
+        // poll point: that poll is not executed (the event at the limit
+        // ends the run) and must not be settled either.
+        let mut ended_with_parked = 0;
+        for max_cycles in 3_000..3_600 {
+            let limits = RunLimits {
+                target_commits: u64::MAX,
+                max_cycles,
+            };
+            let (parked, polling) = parked_and_polling(false, |_, _| vec![LockId(0)], limits);
+            assert_eq!(parked.0.stats, polling.stats, "max_cycles {max_cycles}");
+            assert_eq!(parked.0.contended_attempts, polling.contended_attempts);
+            assert!(parked.0.stats.total_cycles >= max_cycles);
+            ended_with_parked += usize::from(parked.1 > 0);
+        }
+        assert!(ended_with_parked > 0, "no cycle limit left a core parked");
+    }
+
+    #[test]
+    fn every_core_parked_settles_to_the_cycle_limit() {
+        // Core i first takes lock i and never releases it, then wants lock
+        // i + 1: after one transaction each, every core is parked for good
+        // and the queue runs dry. The polling run spins to the cycle limit.
+        // The limits span one poll period of core 0 (50 cycles), so one of
+        // them lands exactly on its poll grid: that poll is not executed.
+        let lock_of: LockOf = |i, n| vec![LockId(if n == 0 { i } else { (i + 1) % 4 } as u64)];
+        for max_cycles in 20_000..20_050 {
+            let limits = RunLimits {
+                target_commits: u64::MAX,
+                max_cycles,
+            };
+            let (parked, polling) = parked_and_polling(true, lock_of, limits);
+            assert_eq!(parked.1, 4, "every core ends parked");
+            assert_eq!(parked.0.stats.committed, 4);
+            assert_eq!(parked.0.stats, polling.stats, "max_cycles {max_cycles}");
+            assert_eq!(parked.0.contended_attempts, polling.contended_attempts);
+            assert!(
+                parked.0.stats.steps > 4 * max_cycles / 62,
+                "skipped polls count"
+            );
+        }
+    }
+
+    #[test]
+    fn into_result_at_a_mid_run_cut_settles_like_polling() {
+        // Cut the parked run right after a step that a parked core has
+        // skipped a poll before, and the polling run right after the same
+        // event: `into_result` must settle that poll.
+        let limits = RunLimits::quick().with_target_commits(200);
+        let (cut, parked) = lock_run(
+            LockEngine::default(),
+            |_, _| vec![LockId(0)],
+            limits,
+            |s| {
+                s.total_committed() >= 10
+                    && s.parked
+                        .iter()
+                        .any(|p| (s.cores.time[p.core], p.core) < s.last_event)
+            },
+        );
+        assert!(parked > 0);
+        assert!(cut.stats.committed < 200, "the cut is mid-run");
+        let (polled, _) = lock_run(
+            Polling(LockEngine::default()),
+            |_, _| vec![LockId(0)],
+            limits,
+            |s| s.last_event == cut.last_event,
+        );
+        assert_eq!(cut, polled);
     }
 
     #[test]

@@ -28,11 +28,25 @@ pub enum StepOutcome {
         /// Why the transaction aborted.
         reason: AbortReason,
     },
-    /// The step could not make progress (lock busy, NACKed request). The
-    /// driver should re-issue the *same* step at `retry_at`.
+    /// The step could not make progress (NACKed request, busy resource).
+    /// The driver should re-issue the *same* step at `retry_at`.
     Stall {
         /// Cycle at which to retry the step.
         retry_at: u64,
+    },
+    /// `begin` found a lock in [`Machine::locks`] busy: an SO/ATOM lock
+    /// set, or the HTM designs' global fallback lock. It is accounted
+    /// exactly like a [`StepOutcome::Stall`] to `retry_at`, and promises
+    /// more: until some lock is released, re-issuing the same `begin` at
+    /// `retry_at + k * period` would return `Blocked` again with the same
+    /// `period` and change nothing but the table's contended-attempt
+    /// count. The driver therefore parks the core instead of re-issuing
+    /// it, and wakes it on the next release.
+    Blocked {
+        /// Cycle of the first re-check.
+        retry_at: u64,
+        /// Cycles between re-checks after the first.
+        period: u64,
     },
 }
 
@@ -108,6 +122,76 @@ pub trait TxEngine {
     fn probes_into(&self, _reg: &mut dhtm_obs::ProbeRegistry) {}
 }
 
+/// The polling reference model of the parking driver: wraps an engine and
+/// reports every [`StepOutcome::Blocked`] as the plain [`StepOutcome::Stall`]
+/// it refines, so the driver re-issues each lock poll instead of parking the
+/// core. A run through `Polling` executes every poll a parked core skips and
+/// must yield the same statistics, observer events and durable state as the
+/// unwrapped run; the driver's settle tests and the harness's parking
+/// equivalence suite replay runs both ways.
+#[derive(Debug)]
+pub struct Polling<E>(pub E);
+
+impl<E: TxEngine> TxEngine for Polling<E> {
+    fn design(&self) -> DesignKind {
+        self.0.design()
+    }
+
+    fn init(&mut self, machine: &mut Machine) {
+        self.0.init(machine);
+    }
+
+    fn begin(
+        &mut self,
+        machine: &mut Machine,
+        core: CoreId,
+        lock_set: &[LockId],
+        now: u64,
+    ) -> StepOutcome {
+        match self.0.begin(machine, core, lock_set, now) {
+            StepOutcome::Blocked { retry_at, .. } => StepOutcome::Stall { retry_at },
+            outcome => outcome,
+        }
+    }
+
+    fn read(
+        &mut self,
+        machine: &mut Machine,
+        core: CoreId,
+        addr: Address,
+        now: u64,
+    ) -> StepOutcome {
+        self.0.read(machine, core, addr, now)
+    }
+
+    fn write(
+        &mut self,
+        machine: &mut Machine,
+        core: CoreId,
+        addr: Address,
+        value: u64,
+        now: u64,
+    ) -> StepOutcome {
+        self.0.write(machine, core, addr, value, now)
+    }
+
+    fn commit(&mut self, machine: &mut Machine, core: CoreId, now: u64) -> StepOutcome {
+        self.0.commit(machine, core, now)
+    }
+
+    fn last_tx_stats(&mut self, core: CoreId) -> TxStats {
+        self.0.last_tx_stats(core)
+    }
+
+    fn fallback_commits(&self) -> u64 {
+        self.0.fallback_commits()
+    }
+
+    fn probes_into(&self, reg: &mut dhtm_obs::ProbeRegistry) {
+        self.0.probes_into(reg);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,6 +200,11 @@ mod tests {
     fn step_outcome_helpers() {
         assert!(StepOutcome::done(5).is_done());
         assert!(!StepOutcome::Stall { retry_at: 10 }.is_done());
+        assert!(!StepOutcome::Blocked {
+            retry_at: 10,
+            period: 60
+        }
+        .is_done());
         assert_eq!(StepOutcome::done(5), StepOutcome::Done { at: 5 });
     }
 }

@@ -43,7 +43,7 @@ pub mod observer;
 pub mod workload;
 
 pub use driver::{RunLimits, SimulationResult, Simulator};
-pub use engine::{StepOutcome, TxEngine};
+pub use engine::{Polling, StepOutcome, TxEngine};
 pub use locks::{LockId, LockTable};
 pub use machine::Machine;
 pub use observer::{NullObserver, SimObserver, StepContext};

@@ -7,11 +7,23 @@
 //! annotated with the set of [`LockId`]s it needs; the engine acquires them
 //! all at begin time (in canonical order, which makes deadlock impossible)
 //! and releases them after commit.
+//!
+//! The table lives in the [`Machine`](crate::machine::Machine), not in the
+//! engines, so the driver can see releases: a core whose `begin` found its
+//! locks busy is parked off the event queue and woken only when
+//! [`LockTable::releases`] moves (see [`crate::driver`]).
 
 use std::collections::HashMap;
 use std::fmt;
 
 use dhtm_types::ids::CoreId;
+
+/// Cycles a core spins before re-checking a contended lock set (SO, ATOM).
+pub const LOCK_SPIN: u64 = 60;
+
+/// Cycles an HTM core waits before re-checking the global fallback lock,
+/// both to acquire it and while subscribed to it (NP, sdTM, DHTM).
+pub const FALLBACK_SPIN: u64 = 64;
 
 /// Identifier of one lock (a data-structure partition, a database row group,
 /// or a global lock for single-lock fallback paths).
@@ -35,6 +47,7 @@ pub struct LockTable {
     held: HashMap<LockId, CoreId>,
     acquisitions: u64,
     contended_attempts: u64,
+    releases: u64,
 }
 
 impl LockTable {
@@ -70,7 +83,11 @@ impl LockTable {
         let before = self.held.len();
         // lint: allow(unordered-iter, reason = "order-independent set subtraction with a pure predicate; no per-entry effect observes iteration order")
         self.held.retain(|_, &mut owner| owner != core);
-        before - self.held.len()
+        let released = before - self.held.len();
+        if released > 0 {
+            self.releases += 1;
+        }
+        released
     }
 
     /// Whether `lock` is currently held (by anyone).
@@ -93,9 +110,22 @@ impl LockTable {
         self.acquisitions
     }
 
-    /// Lifetime count of acquisition attempts that found a lock busy.
+    /// Lifetime count of acquisition attempts that found a lock busy,
+    /// including the polls of parked cores the driver skipped.
     pub fn contended_attempts(&self) -> u64 {
         self.contended_attempts
+    }
+
+    /// Lifetime count of [`LockTable::release_all`] calls that released at
+    /// least one lock: the driver's wake-up signal for parked cores.
+    pub fn releases(&self) -> u64 {
+        self.releases
+    }
+
+    /// Counts `n` contended attempts that were not re-issued: polls a
+    /// parked core skipped, each of which would have found a lock busy.
+    pub(crate) fn add_contended_attempts(&mut self, n: u64) {
+        self.contended_attempts += n;
     }
 }
 
@@ -115,6 +145,10 @@ mod tests {
         assert_eq!(t.owner(LockId(2)), Some(c(0)));
         assert_eq!(t.release_all(c(0)), 2);
         assert!(!t.is_held(LockId(1)));
+        assert_eq!(t.releases(), 1);
+        // Releasing nothing is not a release.
+        assert_eq!(t.release_all(c(0)), 0);
+        assert_eq!(t.releases(), 1);
     }
 
     #[test]

@@ -1,9 +1,11 @@
-//! The simulated machine: configuration, memory system and transaction-id
-//! allocation.
+//! The simulated machine: configuration, memory system, lock table and
+//! transaction-id allocation.
 
 use dhtm_coherence::memsys::MemorySystem;
 use dhtm_types::config::SystemConfig;
 use dhtm_types::ids::TxIdAllocator;
+
+use crate::locks::LockTable;
 
 /// The machine every design runs on.
 ///
@@ -19,6 +21,10 @@ pub struct Machine {
     pub config: SystemConfig,
     /// Allocator for globally unique transaction ids.
     pub tx_ids: TxIdAllocator,
+    /// The software lock table: SO/ATOM lock sets and the HTM designs'
+    /// global fallback lock. The driver watches its release count to wake
+    /// cores parked on a busy lock.
+    pub locks: LockTable,
 }
 
 impl Machine {
@@ -35,6 +41,7 @@ impl Machine {
             mem: MemorySystem::new(&config),
             config,
             tx_ids: TxIdAllocator::new(),
+            locks: LockTable::new(),
         }
     }
 

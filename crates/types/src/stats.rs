@@ -83,9 +83,12 @@ pub struct TxStats {
 pub struct RunStats {
     /// Committed (logical) transactions.
     pub committed: u64,
-    /// Driver events processed (begin/op/commit steps across all cores) —
-    /// the denominator of the simulator's own steps-per-second throughput
-    /// tracked by the `perf_trajectory` benchmark.
+    /// Steps of the polling model (begin/op/commit steps across all
+    /// cores): every step the driver executed plus every lock poll a
+    /// parked core skipped (the driver settles those arithmetically, see
+    /// `dhtm_sim::driver`). The denominator of the simulator's own
+    /// steps-per-second throughput tracked by the `perf_trajectory`
+    /// benchmark.
     pub steps: u64,
     /// Total transaction attempts that aborted, by reason.
     pub aborts: BTreeMap<AbortReason, u64>,
