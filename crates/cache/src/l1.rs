@@ -84,13 +84,13 @@ impl L1Cache {
 
     /// Looks up `line`, updating LRU, and records a hit/miss.
     pub fn access(&mut self, line: LineAddr) -> Option<&mut L1Entry> {
-        if self.lines.contains(line) {
+        let entry = self.lines.get_mut(line);
+        if entry.is_some() {
             self.hits += 1;
-            self.lines.get_mut(line)
         } else {
             self.misses += 1;
-            None
         }
+        entry
     }
 
     /// Looks up `line` without recording statistics or touching LRU.
@@ -174,17 +174,13 @@ impl L1Cache {
 
     /// Flash-clears every read bit (commit/abort, Section III-B).
     pub fn flash_clear_read_bits(&mut self) {
-        for (_, e) in self.lines.iter_mut() {
-            e.read_bit = false;
-        }
+        self.lines.for_each_mut(|_, e| e.read_bit = false);
     }
 
     /// Flash-clears every write bit (used by the volatile HTM baseline, which
     /// makes the write set visible atomically at commit).
     pub fn flash_clear_write_bits(&mut self) {
-        for (_, e) in self.lines.iter_mut() {
-            e.write_bit = false;
-        }
+        self.lines.for_each_mut(|_, e| e.write_bit = false);
     }
 
     /// Flash-invalidates every write-set line (abort), appending the

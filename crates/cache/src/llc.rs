@@ -148,13 +148,13 @@ impl LlcCache {
 
     /// Looks up a line, updating LRU and hit/miss statistics.
     pub fn access(&mut self, line: LineAddr) -> Option<&mut DirectoryEntry> {
-        if self.lines.contains(line) {
+        let entry = self.lines.get_mut(line);
+        if entry.is_some() {
             self.hits += 1;
-            self.lines.get_mut(line)
         } else {
             self.misses += 1;
-            None
         }
+        entry
     }
 
     /// Looks up a line without statistics or LRU update.

@@ -1,20 +1,34 @@
 //! A generic set-associative cache array with true-LRU replacement.
 //!
-//! # Layout: fixed-way flat array
+//! # Layout: one slot arena, sets materialised on first fill
 //!
-//! The backing store is one contiguous slot array of `num_sets × ways`
-//! entries, allocated once at construction: set `s` owns the slot range
-//! `[s·ways, (s+1)·ways)` and keeps its resident lines in a dense prefix of
-//! that range (`set_len[s]` slots). Tags (the line address) and LRU stamps
-//! live inline in the slots, so a probe is a short linear scan over at most
-//! `ways` contiguous entries — no hashing, no pointer chasing — and inserts,
-//! removals and evictions never allocate.
+//! A set owns a block of `ways` contiguous slots, but only from the first
+//! insert into it. Construction writes one `(offset, len)` word per set and
+//! *reserves*, without touching, room for every set's block in one slot
+//! arena; the first insert into a set appends its block there. A set that
+//! is never filled costs its word and nothing else: no slot writes and no
+//! resident slot memory. That is what the paper's 8 MB LLC needs: 131,072
+//! lines of ~96-byte slots, of which a short run fills a few thousand.
 //!
-//! Within a set the prefix is maintained with push/swap-remove exactly like
-//! the historical `Vec<Slot>` per set, so every observable order (probe
-//! order, [`SetAssocCache::iter`], [`SetAssocCache::drain_filter`]) is
-//! bit-identical to the old representation; victim selection depends only on
-//! the globally unique LRU stamps and is order-free to begin with.
+//! Slots `0..ways` of the arena are a dummy block that is never filled, and
+//! offset 0 means "not materialised": an unfilled set's word `(0, 0)` names
+//! an empty scan of the dummy block. A probe is therefore one load of the
+//! set's word and a linear scan of at most `ways` contiguous slots, with no
+//! branch on materialisation, no hashing and no pointer chasing. Tags (the
+//! line address) and LRU stamps live inline in the slots, and inserts,
+//! removals and evictions never reallocate: the capacity reserved at
+//! construction covers every block.
+//!
+//! Within a set the resident lines are a dense prefix of its block,
+//! maintained with push/swap-remove exactly like the historical `Vec<Slot>`
+//! per set. Blocks lie in the arena in first-fill order, but every walk
+//! ([`SetAssocCache::iter`], [`SetAssocCache::for_each_mut`],
+//! [`SetAssocCache::drain_filter`]) goes set by set in set-index order
+//! through the per-set words, never in arena order. Every observable order
+//! (probe order, iteration and removal order) is thus bit-identical to the
+//! old representation; the engines' log and flush schedules depend on it.
+//! Victim selection depends only on the globally unique LRU stamps and is
+//! order-free to begin with.
 
 use dhtm_types::addr::LineAddr;
 use dhtm_types::config::CacheGeometry;
@@ -36,11 +50,14 @@ struct Slot<T> {
 #[derive(Debug, Clone)]
 pub struct SetAssocCache<T> {
     geometry: CacheGeometry,
-    /// `num_sets × ways` slots; set `s` occupies `slots[s*ways..(s+1)*ways]`
-    /// with its resident lines packed into the first `set_len[s]` positions.
-    slots: Box<[Option<Slot<T>>]>,
-    /// Occupied-prefix length per set.
-    set_len: Box<[u32]>,
+    /// The slot arena: the dummy block at `0..ways`, then one block of
+    /// `ways` slots per materialised set, in first-fill order. `new`
+    /// reserves capacity for every set's block.
+    slots: Vec<Option<Slot<T>>>,
+    /// Per set, `(offset, len)`: the set's block starts at `slots[offset]`
+    /// and its resident lines fill the first `len` slots of it. Offset 0
+    /// (the dummy block) means the set has never been filled.
+    sets: Box<[(u32, u32)]>,
     /// `num_sets - 1`: set index is `line & set_mask` (sets are a power of
     /// two, checked by [`CacheGeometry`]).
     set_mask: u64,
@@ -50,24 +67,38 @@ pub struct SetAssocCache<T> {
 }
 
 impl<T> SetAssocCache<T> {
-    /// Creates an empty cache with the given geometry.
+    /// Creates an empty cache with the given geometry. Only the per-set
+    /// words are written; slot blocks are materialised by the first insert
+    /// into each set.
     ///
     /// # Panics
     ///
     /// Panics if the geometry's set count is not a power of two — the
     /// mask-based set index depends on it, and a `CacheGeometry` built as a
-    /// struct literal bypasses `CacheGeometry::new`'s own check.
+    /// struct literal bypasses `CacheGeometry::new`'s own check — or if the
+    /// arena's slot count does not fit the per-set word's `u32` offsets.
     pub fn new(geometry: CacheGeometry) -> Self {
         let num_sets = geometry.num_sets();
         assert!(
             num_sets.is_power_of_two(),
             "number of sets ({num_sets}) must be a power of two"
         );
-        let total = num_sets * geometry.ways;
+        let ways = geometry.ways;
+        // One block per set plus the dummy block. Offsets are stored as
+        // `u32`, and nothing bounds a cache's size before this point, so an
+        // arena too large to index is refused here rather than truncated.
+        let arena = (num_sets + 1)
+            .checked_mul(ways)
+            .filter(|&n| u32::try_from(n).is_ok())
+            .unwrap_or_else(|| {
+                panic!("{num_sets} sets of {ways} ways exceed the u32 slot offsets")
+            });
+        let mut slots = Vec::with_capacity(arena);
+        slots.resize_with(ways, || None);
         SetAssocCache {
             geometry,
-            slots: (0..total).map(|_| None).collect(),
-            set_len: vec![0u32; num_sets].into_boxed_slice(),
+            slots,
+            sets: vec![(0, 0); num_sets].into_boxed_slice(),
             set_mask: num_sets as u64 - 1,
             len: 0,
             use_clock: 0,
@@ -109,11 +140,10 @@ impl<T> SetAssocCache<T> {
         (line.raw() & self.set_mask) as usize
     }
 
-    /// The slot range backing `line`'s set and its occupied length.
+    /// The block offset backing `line`'s set and its occupied length.
     fn set_range(&self, line: LineAddr) -> (usize, usize) {
-        let base = self.set_index(line) * self.geometry.ways;
-        let len = self.set_len[self.set_index(line)] as usize;
-        (base, len)
+        let (base, len) = self.sets[self.set_index(line)];
+        (base as usize, len as usize)
     }
 
     fn tick(&mut self) -> u64 {
@@ -126,6 +156,17 @@ impl<T> SetAssocCache<T> {
         self.slots[base..base + len]
             .iter()
             .position(|s| s.as_ref().expect("occupied prefix").line == line)
+    }
+
+    /// Appends a block of empty slots for set `set_idx` to the arena and
+    /// returns its offset. The capacity `new` reserved covers it (a clone's
+    /// arena is sized to its contents and grows as a `Vec` does).
+    fn materialise(&mut self, set_idx: usize) -> usize {
+        let base = self.slots.len();
+        self.slots.resize_with(base + self.geometry.ways, || None);
+        // `new` checked that every offset of the reserved arena fits a u32.
+        self.sets[set_idx].0 = base as u32;
+        base
     }
 
     /// Whether `line` is resident.
@@ -164,11 +205,10 @@ impl<T> SetAssocCache<T> {
     /// victim `(line, entry)` if the set was full.
     ///
     /// If `line` was already resident its entry is replaced in place and no
-    /// eviction happens.
+    /// eviction happens. The first insert into a set materialises its block.
     pub fn insert(&mut self, line: LineAddr, entry: T) -> Option<(LineAddr, T)> {
         let set_idx = self.set_index(line);
-        let base = set_idx * self.geometry.ways;
-        let mut len = self.set_len[set_idx] as usize;
+        let (mut base, mut len) = self.set_range(line);
         let clock = self.tick();
         let ways = self.geometry.ways;
 
@@ -195,6 +235,8 @@ impl<T> SetAssocCache<T> {
             self.len -= 1;
             self.evictions += 1;
             victim = Some((slot.line, slot.entry));
+        } else if base == 0 {
+            base = self.materialise(set_idx);
         }
 
         self.slots[base + len] = Some(Slot {
@@ -202,7 +244,7 @@ impl<T> SetAssocCache<T> {
             last_use: clock,
             entry,
         });
-        self.set_len[set_idx] = (len + 1) as u32;
+        self.sets[set_idx].1 = (len + 1) as u32;
         self.len += 1;
         victim
     }
@@ -222,17 +264,17 @@ impl<T> SetAssocCache<T> {
             .map(|s| s.line)
     }
 
-    /// Removes the entry for `line`, returning it.
+    /// Removes the entry for `line`, returning it. A set emptied this way
+    /// keeps its block.
     pub fn remove(&mut self, line: LineAddr) -> Option<T> {
         let set_idx = self.set_index(line);
-        let base = set_idx * self.geometry.ways;
-        let len = self.set_len[set_idx] as usize;
+        let (base, len) = self.set_range(line);
         let pos = self.position(base, len, line)?;
         let slot = self.slots[base + pos].take().expect("occupied");
         if pos != len - 1 {
             self.slots[base + pos] = self.slots[base + len - 1].take();
         }
-        self.set_len[set_idx] = (len - 1) as u32;
+        self.sets[set_idx].1 = (len - 1) as u32;
         self.len -= 1;
         Some(slot.entry)
     }
@@ -240,9 +282,8 @@ impl<T> SetAssocCache<T> {
     /// Iterates over all resident `(line, entry)` pairs (set-major, within a
     /// set in prefix order — the same order the per-set `Vec`s used to give).
     pub fn iter(&self) -> impl Iterator<Item = (LineAddr, &T)> {
-        let ways = self.geometry.ways;
-        self.set_len.iter().enumerate().flat_map(move |(set, &l)| {
-            self.slots[set * ways..set * ways + l as usize]
+        self.sets.iter().flat_map(move |&(base, len)| {
+            self.slots[base as usize..(base + len) as usize]
                 .iter()
                 .map(|slot| {
                     let slot = slot.as_ref().expect("occupied prefix");
@@ -251,19 +292,16 @@ impl<T> SetAssocCache<T> {
         })
     }
 
-    /// Iterates mutably over all resident `(line, entry)` pairs.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (LineAddr, &mut T)> {
-        let ways = self.geometry.ways;
-        let set_len = &self.set_len;
-        self.slots
-            .chunks_mut(ways)
-            .zip(set_len.iter())
-            .flat_map(|(chunk, &l)| {
-                chunk[..l as usize].iter_mut().map(|slot| {
-                    let slot = slot.as_mut().expect("occupied prefix");
-                    (slot.line, &mut slot.entry)
-                })
-            })
+    /// Calls `f` on every resident `(line, entry)` pair, in the order of
+    /// [`SetAssocCache::iter`]. Blocks lie in the arena in first-fill
+    /// order, so a safe set-major *mutable* walk is an internal one.
+    pub fn for_each_mut(&mut self, mut f: impl FnMut(LineAddr, &mut T)) {
+        for &(base, len) in self.sets.iter() {
+            for slot in &mut self.slots[base as usize..(base + len) as usize] {
+                let slot = slot.as_mut().expect("occupied prefix");
+                f(slot.line, &mut slot.entry);
+            }
+        }
     }
 
     /// Removes every line for which the predicate returns `true`, returning
@@ -283,10 +321,9 @@ impl<T> SetAssocCache<T> {
         mut pred: impl FnMut(LineAddr, &T) -> bool,
         mut sink: impl FnMut(LineAddr, T),
     ) {
-        let ways = self.geometry.ways;
-        for set_idx in 0..self.set_len.len() {
-            let base = set_idx * ways;
-            let mut len = self.set_len[set_idx] as usize;
+        for (base, set_len) in self.sets.iter_mut() {
+            let base = *base as usize;
+            let mut len = *set_len as usize;
             let mut i = 0;
             while i < len {
                 let s = self.slots[base + i].as_ref().expect("occupied prefix");
@@ -302,18 +339,15 @@ impl<T> SetAssocCache<T> {
                     i += 1;
                 }
             }
-            self.set_len[set_idx] = len as u32;
+            *set_len = len as u32;
         }
     }
 
-    /// Removes every resident line.
+    /// Removes every resident line and returns every set to the
+    /// never-filled state; the arena keeps its reservation.
     pub fn clear(&mut self) {
-        for slot in &mut self.slots {
-            *slot = None;
-        }
-        for l in &mut self.set_len {
-            *l = 0;
-        }
+        self.slots.truncate(self.geometry.ways);
+        self.sets.fill((0, 0));
         self.len = 0;
     }
 }
@@ -444,15 +478,88 @@ mod tests {
     }
 
     #[test]
-    fn iter_mut_allows_updates() {
+    fn for_each_mut_allows_updates() {
         let mut c = small_cache();
         c.insert(LineAddr::new(1), 1);
         c.insert(LineAddr::new(2), 2);
-        for (_, v) in c.iter_mut() {
-            *v += 10;
-        }
+        c.for_each_mut(|_, v| *v += 10);
         assert_eq!(*c.peek(LineAddr::new(1)).unwrap(), 11);
         assert_eq!(*c.peek(LineAddr::new(2)).unwrap(), 12);
+    }
+
+    /// Sets whose block has been materialised.
+    fn materialised(c: &SetAssocCache<u32>) -> usize {
+        c.sets.iter().filter(|&&(base, _)| base != 0).count()
+    }
+
+    /// Building the paper's LLC writes only the per-set words and the dummy
+    /// block; queries on an unfilled set leave it unfilled, and the first
+    /// insert into a set materialises exactly one block.
+    #[test]
+    fn sets_materialise_on_first_fill_only() {
+        let mut c: SetAssocCache<u32> = SetAssocCache::new(CacheGeometry::isca18_llc());
+        let ways = c.geometry().ways;
+        let num_sets = c.sets.len();
+        assert_eq!(num_sets, 8192);
+        assert_eq!(c.slots.len(), ways, "only the dummy block is written");
+        assert!(c.slots.iter().all(Option::is_none));
+        assert!(c.slots.capacity() >= (num_sets + 1) * ways);
+        assert_eq!(materialised(&c), 0);
+
+        let line = LineAddr::new(5000);
+        assert!(!c.contains(line));
+        assert_eq!(c.victim_for(line), None);
+        assert_eq!(c.remove(line), None);
+        assert!(c.peek(line).is_none());
+        assert!(c.get_mut(line).is_none());
+        assert_eq!(c.slots.len(), ways);
+        assert_eq!(materialised(&c), 0);
+
+        assert!(c.insert(line, 7).is_none());
+        assert_eq!(c.slots.len(), 2 * ways);
+        assert_eq!(c.sets[c.set_index(line)], (ways as u32, 1));
+        assert_eq!(materialised(&c), 1);
+
+        // A second line of the same set fills the same block.
+        let sibling = LineAddr::new(line.raw() + num_sets as u64);
+        assert!(c.insert(sibling, 8).is_none());
+        assert_eq!(c.slots.len(), 2 * ways);
+        assert_eq!(materialised(&c), 1);
+
+        // Emptying a set keeps its block; `clear` returns to the fresh state.
+        c.remove(line);
+        c.remove(sibling);
+        assert_eq!(materialised(&c), 1);
+        c.clear();
+        assert_eq!(c.slots.len(), ways);
+        assert_eq!(materialised(&c), 0);
+    }
+
+    /// Filling every set stays inside the reservation made at construction:
+    /// the arena never reallocates.
+    #[test]
+    fn materialising_every_set_never_reallocates() {
+        let mut c = small_cache();
+        let arena = c.slots.as_ptr();
+        // First fills arrive out of set order: set 3, then 0, 1, 2.
+        for i in [3, 0, 1, 2, 4, 5, 6, 7] {
+            c.insert(LineAddr::new(i), i as u32);
+        }
+        assert_eq!(materialised(&c), 4);
+        assert_eq!(c.slots.as_ptr(), arena);
+        assert_eq!(c.slots.len(), (4 + 1) * 2);
+    }
+
+    /// An arena whose offsets would not fit the per-set `u32` word is
+    /// refused before anything is allocated, not truncated.
+    #[test]
+    #[should_panic(expected = "exceed the u32 slot offsets")]
+    fn oversized_arena_is_refused() {
+        let _ = SetAssocCache::<u32>::new(CacheGeometry {
+            capacity_bytes: 64 << 32,
+            ways: 1,
+            line_size: 64,
+        });
     }
 
     /// All 64 byte offsets of one cache line must land in the same set:

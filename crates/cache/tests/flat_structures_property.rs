@@ -10,6 +10,13 @@
 //! not speed: a plain list of `(line, stamp)` pairs for the cache, a
 //! `HashSet` for the MSHR file.
 //!
+//! `SetAssocCache` materialises a set's slots on its first fill, so its
+//! arena holds blocks in first-fill order. A sparse geometry (1024 sets,
+//! a dozen ever filled, first fills out of set order) is pinned against a
+//! reference that keeps one plain `Vec` per set: the exact walk order of
+//! `iter`, `for_each_mut` and `drain_filter` after every mutation, and a
+//! cleared cache against a fresh one.
+//!
 //! PR7 adds [`LineSet`] — the sorted inline-array set that replaced the
 //! engines' `BTreeSet<LineAddr>` shadow sets — pinned against a real
 //! `BTreeSet` reference: every `insert`/`remove` return value, every
@@ -33,92 +40,116 @@ use dhtm_types::config::CacheGeometry;
 
 /// The specification, stated naively: lines live in `line % sets` sets of
 /// at most `ways` entries; `insert`/`get_mut` stamp the line with a global
-/// clock; a full set evicts its minimum-stamp line.
+/// clock; a full set evicts its minimum-stamp line. Each set is a plain
+/// `Vec` (append on fill, swap-remove on removal), and walks go set by set
+/// in set-index order: the order the engines' schedules depend on.
 struct RefCache {
-    sets: usize,
     ways: usize,
     clock: u64,
-    /// (line, last_use, value)
-    entries: Vec<(u64, u64, u32)>,
+    /// Per set: (line, last_use, value).
+    sets: Vec<Vec<(u64, u64, u32)>>,
 }
 
 impl RefCache {
     fn new(sets: usize, ways: usize) -> Self {
         RefCache {
-            sets,
             ways,
             clock: 0,
-            entries: Vec::new(),
+            sets: vec![Vec::new(); sets],
         }
     }
 
-    fn set_of(&self, line: u64) -> u64 {
-        line % self.sets as u64
+    fn set_of(&mut self, line: u64) -> &mut Vec<(u64, u64, u32)> {
+        let n = self.sets.len() as u64;
+        &mut self.sets[(line % n) as usize]
     }
 
-    fn find(&self, line: u64) -> Option<usize> {
-        self.entries.iter().position(|&(l, _, _)| l == line)
+    fn find(&self, line: u64) -> Option<(usize, usize)> {
+        let set = (line % self.sets.len() as u64) as usize;
+        let i = self.sets[set].iter().position(|&(l, _, _)| l == line)?;
+        Some((set, i))
     }
 
     fn insert(&mut self, line: u64, value: u32) -> Option<(u64, u32)> {
         self.clock += 1;
-        if let Some(i) = self.find(line) {
-            self.entries[i].1 = self.clock;
-            self.entries[i].2 = value;
+        let (clock, ways) = (self.clock, self.ways);
+        if let Some((set, i)) = self.find(line) {
+            self.sets[set][i] = (line, clock, value);
             return None;
         }
         let set = self.set_of(line);
-        let in_set: Vec<usize> = (0..self.entries.len())
-            .filter(|&i| self.set_of(self.entries[i].0) == set)
-            .collect();
         let mut victim = None;
-        if in_set.len() >= self.ways {
+        if set.len() >= ways {
             // Stamps are unique, so the LRU choice is unambiguous.
-            let &lru = in_set
-                .iter()
-                .min_by_key(|&&i| self.entries[i].1)
-                .expect("full set");
-            let (vl, _, vv) = self.entries.remove(lru);
+            let lru = (0..set.len()).min_by_key(|&i| set[i].1).expect("full set");
+            let (vl, _, vv) = set.swap_remove(lru);
             victim = Some((vl, vv));
         }
-        self.entries.push((line, self.clock, value));
+        set.push((line, clock, value));
         victim
     }
 
     fn get_mut(&mut self, line: u64) -> Option<u32> {
+        let (set, i) = self.find(line)?;
         self.clock += 1;
-        let clock = self.clock;
-        let i = self.find(line)?;
-        self.entries[i].1 = clock;
-        Some(self.entries[i].2)
+        self.sets[set][i].1 = self.clock;
+        Some(self.sets[set][i].2)
     }
 
     fn remove(&mut self, line: u64) -> Option<u32> {
-        let i = self.find(line)?;
-        Some(self.entries.remove(i).2)
+        let (set, i) = self.find(line)?;
+        Some(self.sets[set].swap_remove(i).2)
     }
 
-    fn victim_for(&self, line: u64) -> Option<u64> {
+    fn victim_for(&mut self, line: u64) -> Option<u64> {
         if self.find(line).is_some() {
             return None;
         }
+        let ways = self.ways;
         let set = self.set_of(line);
-        let in_set: Vec<&(u64, u64, u32)> = self
-            .entries
-            .iter()
-            .filter(|&&(l, _, _)| self.set_of(l) == set)
-            .collect();
-        if in_set.len() < self.ways {
+        if set.len() < ways {
             return None;
         }
-        in_set.iter().min_by_key(|e| e.1).map(|e| e.0)
+        set.iter().min_by_key(|e| e.1).map(|e| e.0)
     }
 
-    fn sorted_contents(&self) -> Vec<(u64, u32)> {
-        let mut v: Vec<(u64, u32)> = self.entries.iter().map(|&(l, _, v)| (l, v)).collect();
-        v.sort_unstable();
-        v
+    /// Removes matching lines set by set, swap-removing within a set.
+    fn drain_filter(&mut self, mut pred: impl FnMut(u64, u32) -> bool) -> Vec<(u64, u32)> {
+        let mut removed = Vec::new();
+        for set in &mut self.sets {
+            let mut i = 0;
+            while i < set.len() {
+                if pred(set[i].0, set[i].2) {
+                    let (l, _, v) = set.swap_remove(i);
+                    removed.push((l, v));
+                } else {
+                    i += 1;
+                }
+            }
+        }
+        removed
     }
+
+    fn len(&self) -> usize {
+        self.sets.iter().map(Vec::len).sum()
+    }
+
+    /// Every resident `(line, value)` in walk order.
+    fn contents(&self) -> Vec<(u64, u32)> {
+        self.sets
+            .iter()
+            .flatten()
+            .map(|&(l, _, v)| (l, v))
+            .collect()
+    }
+
+    fn clear(&mut self) {
+        self.sets.iter_mut().for_each(Vec::clear);
+    }
+}
+
+fn contents(cache: &SetAssocCache<u32>) -> Vec<(u64, u32)> {
+    cache.iter().map(|(l, v)| (l.raw(), *v)).collect()
 }
 
 fn check_cache_against_reference(ops: &[(u8, u64)]) {
@@ -165,12 +196,116 @@ fn check_cache_against_reference(ops: &[(u8, u64)]) {
                 );
             }
         }
-        assert_eq!(cache.len(), reference.entries.len(), "op {i}: len drifted");
+        assert_eq!(cache.len(), reference.len(), "op {i}: len drifted");
     }
     // Full-state audit at the end: same resident lines, same values.
-    let mut got: Vec<(u64, u32)> = cache.iter().map(|(l, v)| (l.raw(), *v)).collect();
-    got.sort_unstable();
-    assert_eq!(got, reference.sorted_contents());
+    assert_eq!(contents(&cache), reference.contents());
+}
+
+/// Sets of the sparse geometry that op streams touch, scattered over its
+/// 1024 sets so that first fills arrive out of set order.
+const SPARSE_SETS: [u64; 12] = [517, 3, 1023, 64, 999, 0, 200, 700, 42, 333, 5, 868];
+const SPARSE_NUM_SETS: u64 = 1024;
+
+/// Drives a 1024-set × 4-way cache, of which at most 12 sets are ever
+/// filled, and the reference through one op stream. Op `(kind, pick)`
+/// addresses line `tag * 1024 + SPARSE_SETS[s]` with six tags per set, so
+/// sets overflow and evict. After *every* op the full walk order of
+/// `iter` is compared with the reference; `for_each_mut` and
+/// `drain_filter` are compared on the order they visit lines in. A
+/// `clear` midway must leave a cache that behaves like a fresh one.
+fn check_sparse_cache_against_reference(ops: &[(u8, u8)]) {
+    let mut cache: SetAssocCache<u32> =
+        SetAssocCache::new(CacheGeometry::new(1024 * 4 * 64, 4, 64));
+    let mut reference = RefCache::new(SPARSE_NUM_SETS as usize, 4);
+    for (i, &(kind, pick)) in ops.iter().enumerate() {
+        let set = SPARSE_SETS[pick as usize % SPARSE_SETS.len()];
+        let raw = (pick as u64 / SPARSE_SETS.len() as u64 % 6) * SPARSE_NUM_SETS + set;
+        let line = LineAddr::new(raw);
+        match kind % 32 {
+            0..=11 => {
+                let value = i as u32;
+                assert_eq!(
+                    cache.insert(line, value).map(|(l, v)| (l.raw(), v)),
+                    reference.insert(raw, value),
+                    "op {i}: insert({raw}) victim mismatch"
+                );
+            }
+            12..=16 => assert_eq!(
+                cache.get_mut(line).map(|v| *v),
+                reference.get_mut(raw),
+                "op {i}: get_mut({raw}) mismatch"
+            ),
+            17..=20 => assert_eq!(
+                cache.remove(line),
+                reference.remove(raw),
+                "op {i}: remove({raw}) mismatch"
+            ),
+            21..=24 => {
+                assert_eq!(
+                    cache.victim_for(line).map(LineAddr::raw),
+                    reference.victim_for(raw),
+                    "op {i}: victim_for({raw}) mismatch"
+                );
+                assert_eq!(
+                    cache.contains(line),
+                    reference.find(raw).is_some(),
+                    "op {i}: contains({raw}) mismatch"
+                );
+            }
+            25..=27 => {
+                let pred = |l: u64, v: u32| (l + u64::from(v)).is_multiple_of(3);
+                let got: Vec<(u64, u32)> = cache
+                    .drain_filter(|l, &v| pred(l.raw(), v))
+                    .into_iter()
+                    .map(|(l, v)| (l.raw(), v))
+                    .collect();
+                assert_eq!(got, reference.drain_filter(pred), "op {i}: drain order");
+            }
+            28..=30 => {
+                let mut visited = Vec::new();
+                cache.for_each_mut(|l, v| {
+                    visited.push((l.raw(), *v));
+                    *v += 1;
+                });
+                assert_eq!(visited, reference.contents(), "op {i}: for_each_mut order");
+                reference.sets.iter_mut().flatten().for_each(|e| e.2 += 1);
+            }
+            _ => {
+                cache.clear();
+                reference.clear();
+            }
+        }
+        assert_eq!(cache.len(), reference.len(), "op {i}: len drifted");
+        assert_eq!(contents(&cache), reference.contents(), "op {i}: iter order");
+    }
+}
+
+/// A cleared cache and a fresh one, driven by the same stream, give the
+/// same victims, the same lookups and the same walk order at every step.
+fn check_cleared_cache_is_fresh(warmup: &[u64], ops: &[(u8, u8)]) {
+    let geometry = CacheGeometry::new(1024 * 4 * 64, 4, 64);
+    let mut cleared: SetAssocCache<u32> = SetAssocCache::new(geometry);
+    for (i, &raw) in warmup.iter().enumerate() {
+        cleared.insert(LineAddr::new(raw), i as u32);
+    }
+    cleared.clear();
+    assert!(cleared.is_empty() && cleared.iter().next().is_none());
+    let mut fresh: SetAssocCache<u32> = SetAssocCache::new(geometry);
+    for (i, &(kind, pick)) in ops.iter().enumerate() {
+        let set = SPARSE_SETS[pick as usize % SPARSE_SETS.len()];
+        let line = LineAddr::new(u64::from(pick % 6) * SPARSE_NUM_SETS + set);
+        if kind % 3 == 0 {
+            assert_eq!(cleared.get_mut(line), fresh.get_mut(line), "op {i}");
+        } else {
+            assert_eq!(
+                cleared.insert(line, i as u32),
+                fresh.insert(line, i as u32),
+                "op {i}"
+            );
+        }
+        assert_eq!(contents(&cleared), contents(&fresh), "op {i}: iter order");
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -309,6 +444,21 @@ proptest! {
         ops in proptest::collection::vec((0u8..4, 0u64..16), 0..400),
     ) {
         check_cache_against_reference(&ops);
+    }
+
+    #[test]
+    fn sparse_cache_matches_reference_order(
+        ops in proptest::collection::vec((0u8..32, 0u8..72), 0..500),
+    ) {
+        check_sparse_cache_against_reference(&ops);
+    }
+
+    #[test]
+    fn cleared_cache_behaves_like_a_fresh_one(
+        warmup in proptest::collection::vec(0u64..8192, 0..200),
+        ops in proptest::collection::vec((0u8..3, 0u8..72), 0..200),
+    ) {
+        check_cleared_cache_is_fresh(&warmup, &ops);
     }
 
     #[test]

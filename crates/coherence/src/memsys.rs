@@ -300,11 +300,10 @@ impl MemorySystem {
     /// Ensures `line` is present in the LLC, filling from memory if needed.
     /// Returns the completion time and whether the fill missed the LLC.
     fn ensure_llc_line(&mut self, now: u64, line: LineAddr) -> (u64, bool) {
-        if self.llc.contains(line) {
-            self.llc.access(line);
+        // One probe records the hit or the miss.
+        if self.llc.access(line).is_some() {
             return (now, false);
         }
-        self.llc.access(line); // records the miss
         let (data, done) = self.fetch_line_from_memory(now, line);
         let victim = self
             .llc

@@ -308,7 +308,7 @@ mod tests {
         let (p, snap) = &captures[0];
         let mut tampered = snap.crash_snapshot();
         // Corrupt one committed word in place.
-        let &addr = run.profile.tracked.iter().next().unwrap();
+        let addr = run.profile.tracked[0];
         let v = tampered.read_word(addr);
         tampered.memory_mut().write_word(addr, v ^ 0xFFFF);
         let mut auditor = RecoveryAuditor::new(&run.profile, DesignKind::Dhtm);

@@ -17,8 +17,6 @@
 //! ([`CrashCell::resolved`]), the same construction path the experiment
 //! harness uses.
 
-use std::collections::BTreeSet;
-
 use dhtm_nvm::domain::{DurableMutation, PersistentDomain};
 use dhtm_sim::driver::{SimulationResult, Simulator};
 use dhtm_sim::observer::{SimObserver, StepContext};
@@ -56,8 +54,9 @@ pub struct RunProfile {
     /// Every commit in commit order.
     pub commits: Vec<CommitEvent>,
     /// Every word address written by any transaction the driver ever
-    /// started — the address universe the oracles check.
-    pub tracked: BTreeSet<Address>,
+    /// started — the address universe the oracles check — sorted
+    /// ascending, without duplicates.
+    pub tracked: Vec<Address>,
     /// Final value of the durable-mutation clock.
     pub total_mutations: u64,
     /// The completed run's result (same numbers an unprofiled run yields).
@@ -87,13 +86,14 @@ impl RunProfile {
 
 /// The word writes of a transaction, in program order.
 pub fn word_writes(tx: &Transaction) -> Vec<(Address, u64)> {
-    tx.ops
-        .iter()
-        .filter_map(|op| match *op {
-            TxOp::Write(addr, value) => Some((addr, value)),
-            _ => None,
-        })
-        .collect()
+    writes_of(tx).collect()
+}
+
+fn writes_of(tx: &Transaction) -> impl Iterator<Item = (Address, u64)> + '_ {
+    tx.ops.iter().filter_map(|op| match *op {
+        TxOp::Write(addr, value) => Some((addr, value)),
+        _ => None,
+    })
 }
 
 /// The profile plus the per-step spans `(pop_time, start_mutations,
@@ -172,15 +172,15 @@ impl Replay<'_> {
 #[derive(Debug, Default)]
 pub struct ProfileRecorder {
     commits: Vec<CommitEvent>,
-    tracked: BTreeSet<Address>,
+    /// Written word addresses of every started transaction, repeats
+    /// included; [`profile_cell`] sorts and dedups them once.
+    tracked: Vec<Address>,
     step_spans: Vec<(u64, u64, u64)>,
 }
 
 impl SimObserver for ProfileRecorder {
     fn on_begin(&mut self, _ctx: &StepContext<'_>, tx: &Transaction) {
-        for (addr, _) in word_writes(tx) {
-            self.tracked.insert(addr);
-        }
+        self.tracked.extend(writes_of(tx).map(|(addr, _)| addr));
     }
 
     fn on_durable_tick(&mut self, ctx: &StepContext<'_>) {
@@ -216,12 +216,15 @@ pub fn profile_cell(cell: &CrashCell) -> ProfiledRun {
     let result = session.into_result();
     let journal = machine.mem.domain_mut().take_journal();
     debug_assert_eq!(journal.len() as u64, total_mutations);
+    let mut tracked = recorder.tracked;
+    tracked.sort_unstable();
+    tracked.dedup();
     ProfiledRun {
         profile: RunProfile {
             design: cell.design,
             base,
             commits: recorder.commits,
-            tracked: recorder.tracked,
+            tracked,
             total_mutations,
             result,
         },
