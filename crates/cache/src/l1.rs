@@ -72,16 +72,6 @@ impl L1Cache {
         self.lines.geometry()
     }
 
-    /// Whether `line` is resident with a readable state.
-    pub fn has_readable(&self, line: LineAddr) -> bool {
-        self.lines.peek(line).is_some_and(|e| e.state.can_read())
-    }
-
-    /// Whether `line` is resident with a writable state.
-    pub fn has_writable(&self, line: LineAddr) -> bool {
-        self.lines.peek(line).is_some_and(|e| e.state.can_write())
-    }
-
     /// Looks up `line`, updating LRU, and records a hit/miss.
     pub fn access(&mut self, line: LineAddr) -> Option<&mut L1Entry> {
         let entry = self.lines.get_mut(line);
@@ -267,10 +257,11 @@ mod tests {
         let mut l1 = tiny_l1();
         l1.insert(LineAddr::new(1), entry(MesiState::Shared));
         l1.insert(LineAddr::new(2), entry(MesiState::Modified));
-        assert!(l1.has_readable(LineAddr::new(1)));
-        assert!(!l1.has_writable(LineAddr::new(1)));
-        assert!(l1.has_writable(LineAddr::new(2)));
-        assert!(!l1.has_readable(LineAddr::new(3)));
+        let state = |line: u64| l1.entry(LineAddr::new(line)).map(|e| e.state);
+        assert!(state(1).is_some_and(MesiState::can_read));
+        assert!(!state(1).is_some_and(MesiState::can_write));
+        assert!(state(2).is_some_and(MesiState::can_write));
+        assert!(!state(3).is_some_and(MesiState::can_read));
     }
 
     #[test]
@@ -316,8 +307,8 @@ mod tests {
         l1.entry_mut(LineAddr::new(2)).unwrap().read_bit = true;
         let inv = l1.flash_invalidate_write_set();
         assert_eq!(inv, vec![LineAddr::new(1)]);
-        assert!(!l1.has_readable(LineAddr::new(1)));
-        assert!(l1.has_readable(LineAddr::new(2)));
+        assert!(l1.entry(LineAddr::new(1)).is_none());
+        assert!(l1.entry(LineAddr::new(2)).is_some());
     }
 
     #[test]

@@ -8,11 +8,14 @@
 //! the directory state of an overflowed line is left unchanged ("sticky").
 
 use dhtm_types::addr::{LineAddr, LineData};
-use dhtm_types::config::CacheGeometry;
+use dhtm_types::config::{CacheGeometry, MAX_CORES};
 use dhtm_types::ids::CoreId;
 
 use crate::mesi::MesiState;
 use crate::set_assoc::SetAssocCache;
+
+// Every core a valid configuration can have owns one bit of `sharers`.
+const _: () = assert!(MAX_CORES <= u64::BITS as usize);
 
 /// Directory/LLC state for one cache line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

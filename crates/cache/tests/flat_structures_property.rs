@@ -10,12 +10,16 @@
 //! not speed: a plain list of `(line, stamp)` pairs for the cache, a
 //! `HashSet` for the MSHR file.
 //!
-//! `SetAssocCache` materialises a set's slots on its first fill, so its
-//! arena holds blocks in first-fill order. A sparse geometry (1024 sets,
-//! a dozen ever filled, first fills out of set order) is pinned against a
-//! reference that keeps one plain `Vec` per set: the exact walk order of
-//! `iter`, `for_each_mut` and `drain_filter` after every mutation, and a
-//! cleared cache against a fresh one.
+//! `SetAssocCache` sizes each set's block to its occupancy, growing it
+//! 1 -> 2 -> 4 -> ... -> `ways` slots and recycling outgrown blocks, so its
+//! arena holds blocks in allocation order. Four geometries are pinned
+//! against a reference that keeps one plain `Vec` per set: a sparse and a
+//! dense 4-way one, a sparse 16-way one (the paper's LLC associativity)
+//! and a 12-way one (the last growth step is not a doubling). Streams
+//! interleave inserts, touches, removals, `drain_filter` and `clear`; the
+//! exact walk order of `iter`, `for_each_mut` and `drain_filter` and every
+//! victim are compared after every op, and a cleared cache against a
+//! fresh one.
 //!
 //! PR7 adds [`LineSet`] — the sorted inline-array set that replaced the
 //! engines' `BTreeSet<LineAddr>` shadow sets — pinned against a real
@@ -207,20 +211,66 @@ fn check_cache_against_reference(ops: &[(u8, u64)]) {
 const SPARSE_SETS: [u64; 12] = [517, 3, 1023, 64, 999, 0, 200, 700, 42, 333, 5, 868];
 const SPARSE_NUM_SETS: u64 = 1024;
 
-/// Drives a 1024-set × 4-way cache, of which at most 12 sets are ever
-/// filled, and the reference through one op stream. Op `(kind, pick)`
-/// addresses line `tag * 1024 + SPARSE_SETS[s]` with six tags per set, so
-/// sets overflow and evict. After *every* op the full walk order of
-/// `iter` is compared with the reference; `for_each_mut` and
-/// `drain_filter` are compared on the order they visit lines in. A
+/// A geometry and the part of it an op stream addresses: line
+/// `tag * num_sets + sets[s]` for `tags` tags per touched set. More tags
+/// than ways make sets overflow and evict.
+struct Shape {
+    num_sets: u64,
+    ways: usize,
+    sets: &'static [u64],
+    tags: u64,
+}
+
+/// 1024 sets x 4 ways, a dozen of them ever filled.
+const SPARSE_4_WAY: Shape = Shape {
+    num_sets: SPARSE_NUM_SETS,
+    ways: 4,
+    sets: &SPARSE_SETS,
+    tags: 6,
+};
+
+/// 8 sets x 4 ways, every set filled: blocks are grown, outgrown and
+/// reused from the free lists all the time.
+const DENSE_4_WAY: Shape = Shape {
+    num_sets: 8,
+    ways: 4,
+    sets: &[0, 1, 2, 3, 4, 5, 6, 7],
+    tags: 7,
+};
+
+/// The paper's LLC associativity: 1024 sets x 16 ways, four ever filled,
+/// so sets walk the whole 1-2-4-8-16 growth sequence and overflow.
+const SPARSE_16_WAY: Shape = Shape {
+    num_sets: SPARSE_NUM_SETS,
+    ways: 16,
+    sets: &[700, 3, 1023, 42],
+    tags: 20,
+};
+
+/// A non-power-of-two associativity (an overlay's `llc_ways = 12`): the
+/// last growth step is 8 -> 12.
+const TWELVE_WAY: Shape = Shape {
+    num_sets: 64,
+    ways: 12,
+    sets: &[63, 0, 17, 40, 5],
+    tags: 16,
+};
+
+/// Drives a cache of `shape` and the reference through one op stream. Op
+/// `(kind, pick)` addresses line `tag * num_sets + sets[s]`, with `s` and
+/// `tag` drawn from `pick`. After *every* op the full walk order of `iter`
+/// is compared with the reference, and every insert's victim; `for_each_mut`
+/// and `drain_filter` are compared on the order they visit lines in. A
 /// `clear` midway must leave a cache that behaves like a fresh one.
-fn check_sparse_cache_against_reference(ops: &[(u8, u8)]) {
-    let mut cache: SetAssocCache<u32> =
-        SetAssocCache::new(CacheGeometry::new(1024 * 4 * 64, 4, 64));
-    let mut reference = RefCache::new(SPARSE_NUM_SETS as usize, 4);
+fn check_walk_order_against_reference(shape: &Shape, ops: &[(u8, u16)]) {
+    let geometry = CacheGeometry::new(shape.num_sets as usize * shape.ways * 64, shape.ways, 64);
+    let mut cache: SetAssocCache<u32> = SetAssocCache::new(geometry);
+    let mut reference = RefCache::new(shape.num_sets as usize, shape.ways);
+    let touched = shape.sets.len() as u64;
     for (i, &(kind, pick)) in ops.iter().enumerate() {
-        let set = SPARSE_SETS[pick as usize % SPARSE_SETS.len()];
-        let raw = (pick as u64 / SPARSE_SETS.len() as u64 % 6) * SPARSE_NUM_SETS + set;
+        let pick = u64::from(pick);
+        let set = shape.sets[(pick % touched) as usize];
+        let raw = (pick / touched % shape.tags) * shape.num_sets + set;
         let line = LineAddr::new(raw);
         match kind % 32 {
             0..=11 => {
@@ -279,6 +329,35 @@ fn check_sparse_cache_against_reference(ops: &[(u8, u8)]) {
         assert_eq!(cache.len(), reference.len(), "op {i}: len drifted");
         assert_eq!(contents(&cache), reference.contents(), "op {i}: iter order");
     }
+}
+
+/// A hand-written stream over the 12-way shape whose victims are pinned
+/// literally: one set grows through 1, 2, 4, 8 and 12 slots, then every
+/// further insert evicts the least recently used line.
+#[test]
+fn twelve_way_growth_and_victims_are_pinned() {
+    let mut cache: SetAssocCache<u32> =
+        SetAssocCache::new(CacheGeometry::new(64 * 12 * 64, 12, 64));
+    let line = |tag: u64| LineAddr::new(tag * 64 + 17);
+    for tag in 0..12 {
+        assert_eq!(cache.insert(line(tag), tag as u32), None, "tag {tag}");
+    }
+    // Touch the even tags: the odd ones become the eviction order.
+    for tag in (0..12).step_by(2) {
+        cache.get_mut(line(tag));
+    }
+    let victims: Vec<u64> = (12..18)
+        .map(|tag| {
+            let (victim, _) = cache
+                .insert(line(tag), tag as u32)
+                .expect("full set evicts");
+            victim.raw() / 64
+        })
+        .collect();
+    assert_eq!(victims, [1, 3, 5, 7, 9, 11]);
+    // Swap-remove order within the set, as the per-set `Vec` gave it.
+    let walk: Vec<u64> = cache.iter().map(|(l, _)| l.raw() / 64).collect();
+    assert_eq!(walk, [0, 16, 2, 12, 4, 13, 6, 14, 8, 15, 10, 17]);
 }
 
 /// A cleared cache and a fresh one, driven by the same stream, give the
@@ -448,9 +527,30 @@ proptest! {
 
     #[test]
     fn sparse_cache_matches_reference_order(
-        ops in proptest::collection::vec((0u8..32, 0u8..72), 0..500),
+        ops in proptest::collection::vec((0u8..32, 0u16..72), 0..500),
     ) {
-        check_sparse_cache_against_reference(&ops);
+        check_walk_order_against_reference(&SPARSE_4_WAY, &ops);
+    }
+
+    #[test]
+    fn dense_four_way_cache_matches_reference_order(
+        ops in proptest::collection::vec((0u8..32, 0u16..56), 0..500),
+    ) {
+        check_walk_order_against_reference(&DENSE_4_WAY, &ops);
+    }
+
+    #[test]
+    fn sparse_sixteen_way_cache_matches_reference_order(
+        ops in proptest::collection::vec((0u8..32, 0u16..80), 0..600),
+    ) {
+        check_walk_order_against_reference(&SPARSE_16_WAY, &ops);
+    }
+
+    #[test]
+    fn twelve_way_cache_matches_reference_order(
+        ops in proptest::collection::vec((0u8..32, 0u16..80), 0..600),
+    ) {
+        check_walk_order_against_reference(&TWELVE_WAY, &ops);
     }
 
     #[test]

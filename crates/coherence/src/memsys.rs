@@ -360,12 +360,15 @@ impl MemorySystem {
         arbiter: &mut dyn ConflictArbiter,
     ) -> AccessOutcome {
         let l1_latency = self.latency.l1_hit;
-        if self.l1s[core.get()].has_readable(line) {
-            self.l1s[core.get()].access(line);
+        // One probe of the requester's L1 touches LRU and records the L1's
+        // own hit or miss, whatever the line's state.
+        if self.l1s[core.get()]
+            .access(line)
+            .is_some_and(|e| e.state.can_read())
+        {
             self.stats.l1_hits += 1;
             return AccessOutcome::new(now + l1_latency, HitLevel::L1);
         }
-        self.l1s[core.get()].access(line); // records the miss
         self.stats.l1_misses += 1;
 
         let mut latency = l1_latency + self.latency.llc_hit;
@@ -502,26 +505,29 @@ impl MemorySystem {
         arbiter: &mut dyn ConflictArbiter,
     ) -> AccessOutcome {
         let l1_latency = self.latency.l1_hit;
-        if self.l1s[core.get()].has_writable(line) {
-            self.l1s[core.get()].access(line);
-            self.stats.l1_hits += 1;
-            // E -> M transition is silent.
-            let entry = self.l1s[core.get()].entry_mut(line).expect("present");
-            entry.state = MesiState::Modified;
-            if let Some(dir) = self.llc.entry_mut(line) {
-                dir.state = MesiState::Modified;
+        // One probe of the requester's L1, as in `load`.
+        let l1_state = match self.l1s[core.get()].access(line) {
+            Some(entry) if entry.state.can_write() => {
+                self.stats.l1_hits += 1;
+                // E -> M transition is silent. The directory is written even
+                // when the L1 line was already Modified: a core re-reading a
+                // line it overflowed gets it Modified while the directory
+                // may still say Exclusive.
+                entry.state = MesiState::Modified;
+                if let Some(dir) = self.llc.entry_mut(line) {
+                    dir.state = MesiState::Modified;
+                }
+                return AccessOutcome::new(now + l1_latency, HitLevel::L1);
             }
-            return AccessOutcome::new(now + l1_latency, HitLevel::L1);
-        }
+            entry => entry.map(|e| e.state),
+        };
 
-        let had_shared_copy = self.l1s[core.get()].has_readable(line);
+        let had_shared_copy = l1_state.is_some_and(MesiState::can_read);
         if had_shared_copy {
             // Upgrade: the L1 access itself is a hit, but the directory must
             // invalidate the other sharers.
-            self.l1s[core.get()].access(line);
             self.stats.l1_hits += 1;
         } else {
-            self.l1s[core.get()].access(line);
             self.stats.l1_misses += 1;
         }
 

@@ -410,6 +410,72 @@ mod tests {
         assert!(spec.run().is_err());
     }
 
+    /// Specs that parse but describe a machine the simulator cannot
+    /// build. Each used to pass `from_toml` and then panic: the first
+    /// three in `ConfigOverlay::apply`'s geometry assert (or a division
+    /// by zero) inside `validate`, the last on a 64-bit sharer-mask shift
+    /// once the run started.
+    const HOSTILE_CONFIGS: [(&str, &str); 4] = [
+        ("llc_ways = 3", "power of two"),
+        ("llc_capacity_bytes = 1", "at least one set"),
+        ("llc_ways = 0", "ways must lie within"),
+        ("num_cores = 65", "num_cores must lie within"),
+    ];
+
+    fn hostile_spec(config: &str) -> SimSpec {
+        SimSpec::from_toml(&format!(
+            "engine = \"dhtm\"\nworkload = \"hash\"\nbase_config = \"small\"\n\
+             commits = 4\n[config]\n{config}\n"
+        ))
+        .expect("hostile specs are well-formed")
+    }
+
+    #[test]
+    fn hostile_specs_fail_validation_instead_of_panicking() {
+        for (config, message) in HOSTILE_CONFIGS {
+            let spec = hostile_spec(config);
+            match spec.validate() {
+                Err(SpecError::InvalidConfig(e)) => {
+                    assert!(e.contains(message), "{config}: got {e:?}");
+                }
+                other => panic!("{config}: expected an invalid config, got {other:?}"),
+            }
+            assert!(spec.run().is_err(), "{config}");
+        }
+    }
+
+    #[test]
+    fn the_largest_valid_machine_validates() {
+        let edge = SimSpec::builder(DesignKind::Dhtm, "hash")
+            .base(BaseConfig::Small)
+            .overlay(ConfigOverlay {
+                num_cores: Some(dhtm_types::config::MAX_CORES),
+                llc_capacity_bytes: Some(dhtm_types::config::MAX_CACHE_LINES * 64),
+                llc_ways: Some(12),
+                ..Default::default()
+            })
+            .build_unchecked();
+        // 2^22 lines in 12 ways is not a power-of-two set count; 16 ways is.
+        assert!(edge.validate().is_err());
+        let edge = SimSpec {
+            overlay: ConfigOverlay {
+                llc_ways: Some(16),
+                ..edge.overlay
+            },
+            ..edge
+        };
+        assert!(edge.validate().is_ok(), "{:?}", edge.validate());
+        let over = SimSpec {
+            overlay: ConfigOverlay {
+                llc_capacity_bytes: Some(dhtm_types::config::MAX_CACHE_LINES * 64 * 2),
+                llc_ways: Some(32),
+                ..edge.overlay
+            },
+            ..edge
+        };
+        assert!(over.validate().is_err());
+    }
+
     #[test]
     fn derived_seed_matches_the_harness_cell_derivation() {
         let spec = SimSpec::builder(DesignKind::SoftwareOnly, "queue")

@@ -228,6 +228,36 @@ fn invalid_batches_and_unknown_hashes_get_error_events() {
 }
 
 #[test]
+fn a_hostile_geometry_gets_an_error_event_not_a_dropped_connection() {
+    let store = temp_dir("e2e_hostile");
+    let handle = spawn_server(&store, 1);
+    let mut client = ServiceClient::connect(handle.addr).unwrap();
+
+    // Parses, but its LLC has 170 sets; validation used to panic on it,
+    // which dropped the connection.
+    let hostile = SimSpec::from_toml(
+        "engine = \"dhtm\"\nworkload = \"hash\"\nbase_config = \"small\"\n\
+         commits = 4\n[config]\nllc_ways = 3\n",
+    )
+    .unwrap();
+    let err = client.submit(1, vec![hostile]).unwrap_err();
+    let message = err.to_string();
+    assert!(message.contains("does not validate"), "got: {message}");
+    assert!(message.contains("power of two"), "got: {message}");
+
+    // The same connection still serves a valid batch.
+    let outcome = client
+        .submit(2, vec![spec(DesignKind::Dhtm, "hash", 21)])
+        .unwrap();
+    assert_eq!(outcome.results.len(), 1);
+    assert_eq!(outcome.executed, 1);
+
+    client.shutdown().unwrap();
+    handle.join().unwrap();
+    let _ = std::fs::remove_dir_all(&store);
+}
+
+#[test]
 fn final_probe_registry_reports_service_counters() {
     let store = temp_dir("e2e_probes");
     let handle = spawn_server(&store, 1);

@@ -31,6 +31,20 @@ pub const MAX_BYTES_PER_CYCLE: f64 = 65536.0;
 /// allocation small enough to always succeed.
 pub const MAX_LOG_BUFFER_ENTRIES: usize = 1 << 16;
 
+/// Most cores a configuration may have: the LLC directory keeps each
+/// line's sharers in a 64-bit mask, one bit per core.
+pub const MAX_CORES: usize = 64;
+
+/// Largest cache, in lines: 2^22, i.e. 256 MiB of 64-byte lines, 32 times
+/// the paper's LLC. A set-associative array reserves fewer than two slots
+/// per line and addresses them with `u32` offsets; this bound keeps the
+/// offsets in range and, for the simulator's ~100-byte slots, the
+/// untouched reservation under 1 GiB.
+pub const MAX_CACHE_LINES: usize = 1 << 22;
+
+/// Largest associativity: a set's occupancy and block size are `u16`.
+pub const MAX_WAYS: usize = u16::MAX as usize;
+
 /// Geometry of a set-associative cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheGeometry {
@@ -47,21 +61,51 @@ impl CacheGeometry {
     ///
     /// # Panics
     ///
-    /// Panics if the capacity is not divisible into an integral power-of-two
-    /// number of sets of `ways` lines.
+    /// Panics if the geometry fails [`CacheGeometry::check`].
     pub fn new(capacity_bytes: usize, ways: usize, line_size: usize) -> Self {
         let g = CacheGeometry {
             capacity_bytes,
             ways,
             line_size,
         };
-        let sets = g.num_sets();
-        assert!(sets > 0, "cache must have at least one set");
-        assert!(
-            sets.is_power_of_two(),
-            "number of sets ({sets}) must be a power of two"
-        );
+        if let Err(e) = g.check() {
+            panic!("{e}");
+        }
         g
+    }
+
+    /// Checks that the cache arrays can model this geometry: a positive
+    /// line size, 1 to [`MAX_WAYS`] ways, at most [`MAX_CACHE_LINES`]
+    /// lines, and a capacity that divides into a power-of-two number of
+    /// sets (the set index is a mask).
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first violated bound.
+    pub fn check(&self) -> std::result::Result<(), String> {
+        if self.line_size == 0 {
+            return Err("cache line size must be > 0".into());
+        }
+        if !(1..=MAX_WAYS).contains(&self.ways) {
+            return Err(format!(
+                "cache ways must lie within [1, {MAX_WAYS}], got {}",
+                self.ways
+            ));
+        }
+        let lines = self.num_lines();
+        if lines > MAX_CACHE_LINES {
+            return Err(format!(
+                "a cache of {lines} lines exceeds the {MAX_CACHE_LINES}-line maximum"
+            ));
+        }
+        let sets = self.num_sets();
+        if sets == 0 {
+            return Err("cache must have at least one set".into());
+        }
+        if !sets.is_power_of_two() {
+            return Err(format!("number of sets ({sets}) must be a power of two"));
+        }
+        Ok(())
     }
 
     /// Number of cache lines the cache can hold.
@@ -281,9 +325,14 @@ impl SystemConfig {
     ///
     /// Returns a descriptive error string if any field is out of range.
     pub fn validate(&self) -> std::result::Result<(), String> {
-        if self.num_cores == 0 {
-            return Err("num_cores must be > 0".into());
+        if !(1..=MAX_CORES).contains(&self.num_cores) {
+            return Err(format!(
+                "num_cores must lie within [1, {MAX_CORES}], got {}",
+                self.num_cores
+            ));
         }
+        self.l1.check().map_err(|e| format!("l1: {e}"))?;
+        self.llc.check().map_err(|e| format!("llc: {e}"))?;
         if !(1..=MAX_LOG_BUFFER_ENTRIES).contains(&self.log_buffer_entries) {
             return Err(format!(
                 "log_buffer_entries must lie within [1, {MAX_LOG_BUFFER_ENTRIES}], got {}",
@@ -406,7 +455,9 @@ impl ConfigOverlay {
         *self == Self::default()
     }
 
-    /// Applies the overlay to a base configuration.
+    /// Applies the overlay to a base configuration. The result is not
+    /// validated; [`SystemConfig::validate`] reports any out-of-range
+    /// field, the LLC geometry included.
     pub fn apply(&self, mut cfg: SystemConfig) -> SystemConfig {
         if let Some(n) = self.num_cores {
             cfg.num_cores = n;
@@ -429,12 +480,13 @@ impl ConfigOverlay {
         if let Some(n) = self.read_signature_bits {
             cfg.read_signature_bits = n;
         }
-        if self.llc_capacity_bytes.is_some() || self.llc_ways.is_some() {
-            cfg.llc = CacheGeometry::new(
-                self.llc_capacity_bytes.unwrap_or(cfg.llc.capacity_bytes),
-                self.llc_ways.unwrap_or(cfg.llc.ways),
-                cfg.llc.line_size,
-            );
+        // Unchecked: an overlay may describe a geometry the cache arrays
+        // cannot model, which `SystemConfig::validate` then reports.
+        if let Some(n) = self.llc_capacity_bytes {
+            cfg.llc.capacity_bytes = n;
+        }
+        if let Some(n) = self.llc_ways {
+            cfg.llc.ways = n;
         }
         cfg
     }
