@@ -8,6 +8,7 @@
 //! persistent memory, so the data-flush latency sits on the commit critical
 //! path (Section VI-A of the paper).
 
+use dhtm_cache::l1::StoreKind;
 use dhtm_cache::lineset::LineSet;
 use dhtm_coherence::probe::NoConflicts;
 use dhtm_nvm::record::LogRecord;
@@ -214,7 +215,9 @@ impl TxEngine for AtomEngine {
             )
         };
         let done = Self::plain_access(machine, core, addr, true, now);
-        machine.mem.write_word_in_l1(core, addr, value);
+        machine
+            .mem
+            .store_word_in_l1(core, addr, value, StoreKind::Plain);
 
         let tx = self.cores[core.get()].tx;
         if let Some(old) = old_data {

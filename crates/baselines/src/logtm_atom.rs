@@ -14,7 +14,7 @@
 //! * aborts are expensive: the undo log must be applied before the
 //!   transaction can retry.
 
-use dhtm_cache::l1::L1Entry;
+use dhtm_cache::l1::{L1Entry, StoreKind};
 use dhtm_htm::arbiter::{ArbiterConfig, HtmArbiter};
 use dhtm_htm::tx_state::{HtmCoreState, TxStatus};
 use dhtm_nvm::record::LogRecord;
@@ -255,11 +255,12 @@ impl TxEngine for LogTmAtomEngine {
             self.handle_victim(machine, core, vline, &ventry, now);
         }
         let entry = machine.mem.l1_mut(core).entry_mut(line).expect("filled");
-        entry.read_bit = true;
+        let read_bit_was_set = std::mem::replace(&mut entry.read_bit, true);
         if out.reread_own_overflow {
             entry.write_bit = true;
+            self.states[core.get()].note_reread_write_bit(line);
         }
-        self.states[core.get()].record_load(line);
+        self.states[core.get()].record_load(line, read_bit_was_set);
         StepOutcome::done(out.done)
     }
 
@@ -309,14 +310,11 @@ impl TxEngine for LogTmAtomEngine {
                 return self.do_abort(machine, core, out.done, reason);
             }
         }
-        machine.mem.write_word_in_l1(core, addr, value);
-        machine
-            .mem
-            .l1_mut(core)
-            .entry_mut(line)
-            .expect("filled")
-            .write_bit = true;
-        self.states[core.get()].record_store(line);
+        let write_bit_was_set =
+            machine
+                .mem
+                .store_word_in_l1(core, addr, value, StoreKind::Transactional);
+        self.states[core.get()].record_store(line, write_bit_was_set);
         StepOutcome::done(out.done)
     }
 

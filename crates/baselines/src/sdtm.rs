@@ -9,6 +9,7 @@
 
 use std::collections::BTreeMap;
 
+use dhtm_cache::l1::StoreKind;
 use dhtm_cache::lineset::LineSet;
 use dhtm_htm::rtm::RtmEngine;
 use dhtm_nvm::record::LogRecord;
@@ -118,7 +119,11 @@ impl TxEngine for SdTmEngine {
         value: u64,
         now: u64,
     ) -> StepOutcome {
-        let data_out = self.htm.write(machine, core, addr, value, now);
+        // A fallback store runs write-aside: the cache is kept clean so an
+        // eviction can never push uncommitted data towards persistent memory.
+        let data_out =
+            self.htm
+                .write_with_fallback(machine, core, addr, value, now, StoreKind::WriteAside);
         let StepOutcome::Done { at } = data_out else {
             return data_out;
         };
@@ -130,12 +135,8 @@ impl TxEngine for SdTmEngine {
             // write set, so the durability story is the plain software one —
             // a word-granular redo record streamed to the log (the commit
             // fence waits for its durability point), with the cache kept
-            // write-aside (clean) so an eviction can never push uncommitted
-            // data towards persistent memory.
+            // write-aside (clean) by the store above.
             self.cores[core.get()].fallback_values.insert(addr, value);
-            if let Some(entry) = machine.mem.l1_mut(core).entry_mut(line) {
-                entry.dirty = false;
-            }
             let tx = self.cores[core.get()].tx;
             let record = LogRecord::redo_word(tx, line, addr.word_index().get(), value);
             let bytes = record.size_bytes();

@@ -14,6 +14,7 @@
 
 use std::collections::BTreeMap;
 
+use dhtm_cache::l1::StoreKind;
 use dhtm_cache::lineset::LineSet;
 use dhtm_coherence::probe::NoConflicts;
 use dhtm_nvm::record::LogRecord;
@@ -32,8 +33,10 @@ use dhtm_sim::machine::Machine;
 struct SoCore {
     tx: TxId,
     active: bool,
-    logged_lines: LineSet,
     read_lines: LineSet,
+    /// Lines the current transaction stored to. An insert that returns
+    /// `true` is the line's first store, which composes its line-sized log
+    /// entry.
     written_lines: LineSet,
     /// The word values stored by the current transaction (the software
     /// write-aside set): the source of truth for the commit write-back of
@@ -126,7 +129,6 @@ impl TxEngine for SoEngine {
         let c = &mut self.cores[core.get()];
         c.tx = machine.tx_ids.allocate();
         c.active = true;
-        c.logged_lines.clear();
         c.read_lines.clear();
         c.written_lines.clear();
         c.write_values.clear();
@@ -163,23 +165,21 @@ impl TxEngine for SoEngine {
         now: u64,
     ) -> StepOutcome {
         let done = Self::plain_access(machine, core, addr, true, now);
-        machine.mem.write_word_in_l1(core, addr, value);
         // Write-aside semantics (Mnemosyne): the durable redo log — not the
-        // cache — carries the transaction's stores until commit. Clearing the
-        // dirty bit means a mid-transaction eviction can never write
+        // cache — carries the transaction's stores until commit. Keeping the
+        // line clean means a mid-transaction eviction can never write
         // uncommitted data in place in persistent memory; the commit
         // write-back re-materialises any line that left the cache from the
         // engine's write-aside set instead.
-        if let Some(entry) = machine.mem.l1_mut(core).entry_mut(addr.line()) {
-            entry.dirty = false;
-        }
+        machine
+            .mem
+            .store_word_in_l1(core, addr, value, StoreKind::WriteAside);
         let line = addr.line();
         let first_store_to_line = {
             let c = &mut self.cores[core.get()];
             c.stores += 1;
-            c.written_lines.insert(line);
             c.write_values.insert(addr, value);
-            c.logged_lines.insert(line)
+            c.written_lines.insert(line)
         };
         // Mnemosyne logs at *store* granularity: the first store to a line
         // composes a line-sized redo entry, flushed synchronously (streaming

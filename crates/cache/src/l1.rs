@@ -49,6 +49,19 @@ impl L1Entry {
     }
 }
 
+/// What a store does to its L1 line besides writing the word.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StoreKind {
+    /// A plain store: the line becomes dirty.
+    Plain,
+    /// A write-aside store, whose value the durable log carries: the line is
+    /// left clean, so an eviction can never write it in place.
+    WriteAside,
+    /// A transactional store: the line becomes dirty and joins the write set
+    /// (write bit).
+    Transactional,
+}
+
 /// A private L1 data cache.
 #[derive(Debug, Clone)]
 pub struct L1Cache {
@@ -73,6 +86,7 @@ impl L1Cache {
     }
 
     /// Looks up `line`, updating LRU, and records a hit/miss.
+    #[inline]
     pub fn access(&mut self, line: LineAddr) -> Option<&mut L1Entry> {
         let entry = self.lines.get_mut(line);
         if entry.is_some() {
@@ -84,18 +98,21 @@ impl L1Cache {
     }
 
     /// Looks up `line` without recording statistics or touching LRU.
+    #[inline]
     pub fn entry(&self, line: LineAddr) -> Option<&L1Entry> {
         self.lines.peek(line)
     }
 
     /// Mutable lookup without statistics or LRU update (used by coherence
     /// probes and the transaction engines).
+    #[inline]
     pub fn entry_mut(&mut self, line: LineAddr) -> Option<&mut L1Entry> {
         self.lines.peek_mut(line)
     }
 
     /// Inserts `line` (filling it from the LLC or memory), returning an
     /// evicted victim if the set was full.
+    #[inline]
     pub fn insert(&mut self, line: LineAddr, entry: L1Entry) -> Option<(LineAddr, L1Entry)> {
         self.lines.insert(line, entry)
     }
@@ -106,6 +123,7 @@ impl L1Cache {
     }
 
     /// Removes a line (invalidation), returning its former entry.
+    #[inline]
     pub fn invalidate(&mut self, line: LineAddr) -> Option<L1Entry> {
         self.lines.remove(line)
     }
@@ -115,23 +133,40 @@ impl L1Cache {
     /// # Panics
     ///
     /// Panics if the line is not resident.
+    #[inline]
     pub fn read_word(&self, line: LineAddr, word: WordIndex) -> u64 {
         self.lines.peek(line).expect("line resident").data[word.get()]
     }
 
-    /// Writes one word of a resident line, marking it dirty.
+    /// Writes one word of a resident line and updates its bits as `kind`
+    /// says, in one lookup without statistics or LRU update. Returns whether
+    /// the write bit was set *before* the store: for a transactional store
+    /// that means the line is already in the attempt's write set.
     ///
     /// # Panics
     ///
     /// Panics if the line is not resident.
-    pub fn write_word(&mut self, line: LineAddr, word: WordIndex, value: u64) {
+    #[inline]
+    pub fn store_word(
+        &mut self,
+        line: LineAddr,
+        word: WordIndex,
+        value: u64,
+        kind: StoreKind,
+    ) -> bool {
         let entry = self.lines.peek_mut(line).expect("line resident");
         entry.data[word.get()] = value;
-        entry.dirty = true;
+        entry.dirty = kind != StoreKind::WriteAside;
+        let write_bit_was_set = entry.write_bit;
+        if kind == StoreKind::Transactional {
+            entry.write_bit = true;
+        }
+        write_bit_was_set
     }
 
     /// Iterates the lines currently carrying the write bit (the resident
     /// write set) without allocating, in cache (set-major) order.
+    #[inline]
     pub fn write_set_iter(&self) -> impl Iterator<Item = LineAddr> + '_ {
         self.lines
             .iter()
@@ -163,12 +198,14 @@ impl L1Cache {
     }
 
     /// Flash-clears every read bit (commit/abort, Section III-B).
+    #[inline]
     pub fn flash_clear_read_bits(&mut self) {
         self.lines.for_each_mut(|_, e| e.read_bit = false);
     }
 
     /// Flash-clears every write bit (used by the volatile HTM baseline, which
     /// makes the write set visible atomically at commit).
+    #[inline]
     pub fn flash_clear_write_bits(&mut self) {
         self.lines.for_each_mut(|_, e| e.write_bit = false);
     }
@@ -177,6 +214,7 @@ impl L1Cache {
     /// invalidated line addresses to `out` (which is cleared first). The
     /// allocation-free abort path: engines thread a reusable scratch
     /// buffer through here instead of materialising a fresh `Vec`.
+    #[inline]
     pub fn flash_invalidate_write_set_into(&mut self, out: &mut Vec<LineAddr>) {
         out.clear();
         self.lines
@@ -268,9 +306,31 @@ mod tests {
     fn word_read_write_roundtrip() {
         let mut l1 = tiny_l1();
         l1.insert(LineAddr::new(4), entry(MesiState::Modified));
-        l1.write_word(LineAddr::new(4), WordIndex::new(3), 99);
+        assert!(!l1.store_word(LineAddr::new(4), WordIndex::new(3), 99, StoreKind::Plain));
         assert_eq!(l1.read_word(LineAddr::new(4), WordIndex::new(3)), 99);
-        assert!(l1.entry(LineAddr::new(4)).unwrap().dirty);
+        let e = l1.entry(LineAddr::new(4)).unwrap();
+        assert!(e.dirty);
+        assert!(!e.write_bit);
+    }
+
+    #[test]
+    fn store_kinds_set_dirty_and_write_bits() {
+        let mut l1 = tiny_l1();
+        let line = LineAddr::new(4);
+        l1.insert(line, entry(MesiState::Modified));
+        let bits = |l1: &L1Cache| {
+            let e = l1.entry(line).unwrap();
+            (e.dirty, e.write_bit)
+        };
+        // The first transactional store reports a clear write bit, later
+        // ones a set one.
+        assert!(!l1.store_word(line, WordIndex::new(0), 1, StoreKind::Transactional));
+        assert_eq!(bits(&l1), (true, true));
+        assert!(l1.store_word(line, WordIndex::new(1), 2, StoreKind::Transactional));
+        // A write-aside store leaves the line clean and keeps the write bit.
+        assert!(l1.store_word(line, WordIndex::new(2), 3, StoreKind::WriteAside));
+        assert_eq!(bits(&l1), (false, true));
+        assert_eq!(l1.entry(line).unwrap().data[..3], [1, 2, 3]);
     }
 
     #[test]

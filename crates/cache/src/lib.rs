@@ -39,7 +39,7 @@ pub mod mshr;
 pub mod set_assoc;
 pub mod signature;
 
-pub use l1::{L1Cache, L1Entry};
+pub use l1::{L1Cache, L1Entry, StoreKind};
 pub use lineset::LineSet;
 pub use llc::{DirectoryEntry, LlcCache};
 pub use log_buffer::LogBuffer;

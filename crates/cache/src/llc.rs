@@ -91,6 +91,7 @@ impl DirectoryEntry {
     /// The lowest-numbered sharer, if any (the directory's notion of "the"
     /// owner for forwarding, matching the first element of
     /// [`DirectoryEntry::sharers_iter`]).
+    #[inline]
     pub fn first_sharer(&self) -> Option<CoreId> {
         if self.sharers == 0 {
             None
@@ -150,6 +151,7 @@ impl LlcCache {
     }
 
     /// Looks up a line, updating LRU and hit/miss statistics.
+    #[inline]
     pub fn access(&mut self, line: LineAddr) -> Option<&mut DirectoryEntry> {
         let entry = self.lines.get_mut(line);
         if entry.is_some() {
@@ -161,11 +163,13 @@ impl LlcCache {
     }
 
     /// Looks up a line without statistics or LRU update.
+    #[inline]
     pub fn entry(&self, line: LineAddr) -> Option<&DirectoryEntry> {
         self.lines.peek(line)
     }
 
     /// Mutable lookup without statistics or LRU update.
+    #[inline]
     pub fn entry_mut(&mut self, line: LineAddr) -> Option<&mut DirectoryEntry> {
         self.lines.peek_mut(line)
     }
@@ -173,6 +177,7 @@ impl LlcCache {
     /// Inserts a line (filling from memory), returning the evicted victim if
     /// the set was full. The caller is responsible for writing back a dirty
     /// victim to persistent memory.
+    #[inline]
     pub fn insert(
         &mut self,
         line: LineAddr,
@@ -183,6 +188,7 @@ impl LlcCache {
 
     /// Removes a line entirely (e.g. an abort-time invalidation of an
     /// overflowed transactional line).
+    #[inline]
     pub fn invalidate(&mut self, line: LineAddr) -> Option<DirectoryEntry> {
         self.lines.remove(line)
     }

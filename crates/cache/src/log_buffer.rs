@@ -67,6 +67,7 @@ impl LogBuffer {
     }
 
     /// Whether `line` is currently tracked.
+    #[inline]
     pub fn contains(&self, line: LineAddr) -> bool {
         self.entries.contains(&line)
     }
@@ -77,6 +78,7 @@ impl LogBuffer {
     /// controller) must write a redo-log entry for the evicted line at this
     /// point. If the line was already tracked the store is coalesced and
     /// nothing is returned.
+    #[inline]
     pub fn record_store(&mut self, line: LineAddr) -> Option<LineAddr> {
         if self.entries.contains(&line) {
             self.coalesced_hits += 1;
@@ -97,6 +99,7 @@ impl LogBuffer {
     /// Removes `line` from the buffer because the corresponding L1 line is
     /// being replaced (situation (b) in Section III-A). Returns `true` if it
     /// was present — in which case the caller must log it now.
+    #[inline]
     pub fn remove(&mut self, line: LineAddr) -> bool {
         if let Some(pos) = self.entries.iter().position(|&l| l == line) {
             self.entries.remove(pos);

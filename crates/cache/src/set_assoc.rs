@@ -182,6 +182,7 @@ impl<T> SetAssocCache<T> {
     }
 
     /// Position of `line` within its set's occupied prefix.
+    #[inline]
     fn position(&self, base: usize, len: usize, line: LineAddr) -> Option<usize> {
         self.slots[base..base + len]
             .iter()
@@ -193,6 +194,7 @@ impl<T> SetAssocCache<T> {
     /// the new block's offset. The outgrown block goes on its size's free
     /// list; a block of the new size comes off that size's free list, or
     /// is appended inside the reservation.
+    #[inline]
     fn grow(&mut self, set_idx: usize) -> usize {
         let Block { base, len, cap } = self.sets[set_idx];
         let cap = usize::from(cap);
@@ -233,6 +235,7 @@ impl<T> SetAssocCache<T> {
 
     /// Returns a reference to the entry for `line`, if resident, updating its
     /// LRU position.
+    #[inline]
     pub fn get_mut(&mut self, line: LineAddr) -> Option<&mut T> {
         let (base, len) = self.set_range(line);
         let pos = self.position(base, len, line)?;
@@ -244,6 +247,7 @@ impl<T> SetAssocCache<T> {
 
     /// Returns a reference to the entry for `line` without touching LRU
     /// state (used by coherence probes, which should not perturb locality).
+    #[inline]
     pub fn peek(&self, line: LineAddr) -> Option<&T> {
         let (base, len) = self.set_range(line);
         let pos = self.position(base, len, line)?;
@@ -251,6 +255,7 @@ impl<T> SetAssocCache<T> {
     }
 
     /// Mutable peek without LRU update.
+    #[inline]
     pub fn peek_mut(&mut self, line: LineAddr) -> Option<&mut T> {
         let (base, len) = self.set_range(line);
         let pos = self.position(base, len, line)?;
@@ -263,6 +268,7 @@ impl<T> SetAssocCache<T> {
     /// If `line` was already resident its entry is replaced in place and no
     /// eviction happens. An insert into a full block below `ways` slots
     /// first grows the set's block.
+    #[inline]
     pub fn insert(&mut self, line: LineAddr, entry: T) -> Option<(LineAddr, T)> {
         let set_idx = self.set_index(line);
         let Block { base, len, cap } = self.sets[set_idx];
@@ -323,6 +329,7 @@ impl<T> SetAssocCache<T> {
 
     /// Removes the entry for `line`, returning it. A set emptied this way
     /// keeps its block.
+    #[inline]
     pub fn remove(&mut self, line: LineAddr) -> Option<T> {
         let set_idx = self.set_index(line);
         let (base, len) = self.set_range(line);

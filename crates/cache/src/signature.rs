@@ -9,6 +9,7 @@
 //! unnecessary aborts, never missed conflicts.
 
 use dhtm_types::addr::LineAddr;
+use dhtm_types::config::MAX_READ_SIGNATURE_BITS;
 
 /// A Bloom-filter read-set overflow signature.
 #[derive(Debug, Clone)]
@@ -26,12 +27,18 @@ impl ReadSignature {
     ///
     /// # Panics
     ///
-    /// Panics if `num_bits` is zero or not a power of two.
+    /// Panics if `num_bits` is zero, not a power of two, or above
+    /// [`MAX_READ_SIGNATURE_BITS`] (the bound `SystemConfig::validate`
+    /// checks).
     pub fn new(num_bits: usize) -> Self {
         assert!(num_bits > 0, "signature must have at least one bit");
         assert!(
             num_bits.is_power_of_two(),
             "signature bits must be a power of two"
+        );
+        assert!(
+            num_bits <= MAX_READ_SIGNATURE_BITS,
+            "signature bits must be at most {MAX_READ_SIGNATURE_BITS}"
         );
         ReadSignature {
             bits: vec![0; num_bits.div_ceil(64)],
@@ -64,6 +71,7 @@ impl ReadSignature {
     }
 
     /// Inserts a line address into the signature.
+    #[inline]
     pub fn insert(&mut self, line: LineAddr) {
         for h in 0..NUM_HASHES {
             let idx = self.hash(line, h);
@@ -74,6 +82,7 @@ impl ReadSignature {
 
     /// Whether the signature might contain `line`. False positives are
     /// possible; false negatives are not.
+    #[inline]
     pub fn maybe_contains(&self, line: LineAddr) -> bool {
         (0..NUM_HASHES).all(|h| self.get_bit(self.hash(line, h)))
     }
@@ -176,6 +185,18 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_panics() {
         ReadSignature::new(100);
+    }
+
+    #[test]
+    fn the_largest_signature_builds() {
+        let s = ReadSignature::new(MAX_READ_SIGNATURE_BITS);
+        assert_eq!(s.num_bits(), MAX_READ_SIGNATURE_BITS);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most")]
+    fn an_oversized_signature_panics_before_allocating() {
+        ReadSignature::new(1 << 40);
     }
 
     #[test]

@@ -22,6 +22,7 @@
 //! ## Example
 //!
 //! ```
+//! use dhtm_cache::l1::StoreKind;
 //! use dhtm_coherence::memsys::MemorySystem;
 //! use dhtm_coherence::probe::NoConflicts;
 //! use dhtm_types::config::SystemConfig;
@@ -31,7 +32,7 @@
 //! let mut arb = NoConflicts;
 //! let out = mem.store(CoreId::new(0), Address::new(0x80).line(), 0, &mut arb);
 //! assert!(!out.aborted_by_conflict);
-//! mem.write_word_in_l1(CoreId::new(0), Address::new(0x80), 7);
+//! mem.store_word_in_l1(CoreId::new(0), Address::new(0x80), 7, StoreKind::Plain);
 //! let rd = mem.load(CoreId::new(0), Address::new(0x80).line(), out.done, &mut arb);
 //! assert!(rd.l1_hit());
 //! ```

@@ -8,7 +8,7 @@
 //! is how log-write and write-back traffic contends with demand fills
 //! (Section VI-D of the paper).
 
-use dhtm_cache::l1::{L1Cache, L1Entry};
+use dhtm_cache::l1::{L1Cache, L1Entry, StoreKind};
 use dhtm_cache::llc::{DirectoryEntry, LlcCache};
 use dhtm_cache::mesi::MesiState;
 use dhtm_nvm::bandwidth::MemoryChannel;
@@ -92,7 +92,7 @@ impl AccessOutcome {
 }
 
 /// Memory-system statistics (fed into the run statistics by the simulator).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MemStats {
     /// Loads/stores that hit in the requesting L1.
     pub l1_hits: u64,
@@ -163,6 +163,7 @@ impl MemorySystem {
     /// transaction on that core, whose speculative data is now gone — the
     /// transaction can no longer commit and must abort (the write set
     /// exceeded what the LLC could retain).
+    #[inline]
     pub fn take_speculative_loss(&mut self, core: CoreId) -> bool {
         std::mem::take(&mut self.speculative_loss[core.get()])
     }
@@ -173,21 +174,25 @@ impl MemorySystem {
     }
 
     /// The latency configuration in force.
+    #[inline]
     pub fn latency(&self) -> &LatencyConfig {
         &self.latency
     }
 
     /// Immutable access to a core's L1.
+    #[inline]
     pub fn l1(&self, core: CoreId) -> &L1Cache {
         &self.l1s[core.get()]
     }
 
     /// Mutable access to a core's L1.
+    #[inline]
     pub fn l1_mut(&mut self, core: CoreId) -> &mut L1Cache {
         &mut self.l1s[core.get()]
     }
 
     /// Immutable access to the LLC.
+    #[inline]
     pub fn llc(&self) -> &LlcCache {
         &self.llc
     }
@@ -198,11 +203,13 @@ impl MemorySystem {
     }
 
     /// Immutable access to the persistence domain.
+    #[inline]
     pub fn domain(&self) -> &PersistentDomain {
         &self.domain
     }
 
     /// Mutable access to the persistence domain.
+    #[inline]
     pub fn domain_mut(&mut self) -> &mut PersistentDomain {
         &mut self.domain
     }
@@ -227,17 +234,31 @@ impl MemorySystem {
     ///
     /// Panics if the line is not resident (callers must first perform a
     /// successful [`MemorySystem::load`] or [`MemorySystem::store`]).
+    #[inline]
     pub fn read_word_in_l1(&self, core: CoreId, addr: Address) -> u64 {
         self.l1s[core.get()].read_word(addr.line(), addr.word_index())
     }
 
-    /// Writes a word to a line resident in `core`'s L1, marking it dirty.
+    /// Writes a word to a line resident in `core`'s L1 and updates the
+    /// line's dirty and write bits as `kind` says, in one L1 lookup. Returns
+    /// whether the write bit was already set (see [`L1Cache::store_word`]).
+    ///
+    /// The engines call this after [`MemorySystem::store`] and after handling
+    /// its evicted victim, never before: a fatal victim aborts the
+    /// transaction, and the word must not be written then.
     ///
     /// # Panics
     ///
     /// Panics if the line is not resident.
-    pub fn write_word_in_l1(&mut self, core: CoreId, addr: Address, value: u64) {
-        self.l1s[core.get()].write_word(addr.line(), addr.word_index(), value);
+    #[inline]
+    pub fn store_word_in_l1(
+        &mut self,
+        core: CoreId,
+        addr: Address,
+        value: u64,
+        kind: StoreKind,
+    ) -> bool {
+        self.l1s[core.get()].store_word(addr.line(), addr.word_index(), value, kind)
     }
 
     // ------------------------------------------------------------------
@@ -246,6 +267,7 @@ impl MemorySystem {
 
     /// Sends `bytes` of log traffic to persistent memory, returning the cycle
     /// at which the data is durable (transfer + NVM write latency).
+    #[inline]
     pub fn persist_log_bytes(&mut self, now: u64, bytes: u64) -> u64 {
         self.stats.log_bytes += bytes;
         let transferred = self.channel.request(now, bytes);
@@ -254,6 +276,7 @@ impl MemorySystem {
 
     /// Writes a full line in place to persistent memory (data write-back),
     /// returning the durability point.
+    #[inline]
     pub fn persist_data_line(&mut self, now: u64, line: LineAddr, data: LineData) -> u64 {
         self.stats.data_writeback_bytes += LINE_SIZE as u64;
         self.stats.nvm_line_writes += 1;
@@ -352,6 +375,7 @@ impl MemorySystem {
     /// On success the line is resident and readable in `core`'s L1 (the entry
     /// carries whatever read/write bits it had before; newly filled lines
     /// have both bits clear — setting the read bit is the engine's job).
+    #[inline]
     pub fn load(
         &mut self,
         core: CoreId,
@@ -495,8 +519,9 @@ impl MemorySystem {
 
     /// Obtains write permission for `line` on behalf of `core` (the paper's
     /// GetM/upgrade). On success the line is resident and writable in
-    /// `core`'s L1; the engine then updates the data with
-    /// [`MemorySystem::write_word_in_l1`] and sets the write bit.
+    /// `core`'s L1; the engine then writes the word, and sets the write bit,
+    /// with [`MemorySystem::store_word_in_l1`].
+    #[inline]
     pub fn store(
         &mut self,
         core: CoreId,
@@ -671,6 +696,7 @@ impl MemorySystem {
     /// dirty data is written back to the LLC (directory updated precisely);
     /// clean lines notify the directory so it stays precise. Returns the
     /// completion time.
+    #[inline]
     pub fn evict_nontransactional(
         &mut self,
         core: CoreId,
@@ -695,6 +721,7 @@ impl MemorySystem {
     /// write-set line overflows (Section III-C): the LLC data is updated and
     /// marked dirty, but the line still appears to be owned by the core so
     /// conflicting requests keep getting forwarded there.
+    #[inline]
     pub fn writeback_to_llc(
         &mut self,
         core: CoreId,
@@ -718,6 +745,7 @@ impl MemorySystem {
 
     /// Notifies the directory that `core` dropped its clean copy of `line`
     /// (a PutS/PutE), keeping the sharer vector precise.
+    #[inline]
     pub fn notify_clean_eviction(&mut self, core: CoreId, line: LineAddr) {
         if let Some(e) = self.llc.entry_mut(line) {
             e.remove_sharer(core);
@@ -798,12 +826,14 @@ impl MemorySystem {
     /// Invalidates an overflowed line in the LLC (abort-completion,
     /// Figure 4h): the speculative data is discarded and the directory entry
     /// cleared. Returns `true` if the line was present.
+    #[inline]
     pub fn invalidate_llc_line(&mut self, line: LineAddr) -> bool {
         self.llc.invalidate(line).is_some()
     }
 
     /// Invalidates a line in `core`'s L1 (abort path), informing the
     /// directory. Returns the removed entry.
+    #[inline]
     pub fn invalidate_l1_line(&mut self, core: CoreId, line: LineAddr) -> Option<L1Entry> {
         let removed = self.l1s[core.get()].invalidate(line);
         if removed.is_some() {
@@ -942,7 +972,7 @@ mod tests {
         let line = addr.line();
         let out = m.store(c(0), line, 0, &mut arb);
         assert!(out.proceeded());
-        m.write_word_in_l1(c(0), addr, 1234);
+        m.store_word_in_l1(c(0), addr, 1234, StoreKind::Plain);
         let out2 = m.load(c(1), line, 200, &mut arb);
         assert!(out2.proceeded());
         assert_eq!(m.read_word_in_l1(c(1), addr), 1234);
@@ -1040,7 +1070,7 @@ mod tests {
         let addr = Address::new(64 * 77);
         let line = addr.line();
         m.store(c(0), line, 0, &mut noc);
-        m.write_word_in_l1(c(0), addr, 55);
+        m.store_word_in_l1(c(0), addr, 55, StoreKind::Plain);
         // Simulate the overflow: write back keeping the owner sticky, then
         // drop the line from the L1 silently.
         let entry = *m.l1(c(0)).entry(line).unwrap();
@@ -1065,7 +1095,7 @@ mod tests {
         let addr = Address::new(64 * 33);
         let line = addr.line();
         m.store(c(0), line, 0, &mut noc);
-        m.write_word_in_l1(c(0), addr, 7);
+        m.store_word_in_l1(c(0), addr, 7, StoreKind::Plain);
         let entry = *m.l1(c(0)).entry(line).unwrap();
         m.writeback_to_llc(c(0), line, entry.data, 10, true);
         m.l1_mut(c(0)).invalidate(line);
@@ -1102,7 +1132,7 @@ mod tests {
         let addr = Address::new(64 * 8);
         let line = addr.line();
         m.store(c(0), line, 0, &mut noc);
-        m.write_word_in_l1(c(0), addr, 42);
+        m.store_word_in_l1(c(0), addr, 42, StoreKind::Plain);
         let done = m.l1_writeback_line_to_memory(c(0), line, 100).unwrap();
         assert!(done > 100);
         assert_eq!(m.domain().read_line(line)[0], 42);
@@ -1116,7 +1146,7 @@ mod tests {
         let addr = Address::new(64 * 8);
         let line = addr.line();
         m.store(c(0), line, 0, &mut noc);
-        m.write_word_in_l1(c(0), addr, 13);
+        m.store_word_in_l1(c(0), addr, 13, StoreKind::Plain);
         let entry = *m.l1(c(0)).entry(line).unwrap();
         m.writeback_to_llc(c(0), line, entry.data, 5, true);
         m.l1_mut(c(0)).invalidate(line);

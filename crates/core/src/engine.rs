@@ -19,7 +19,7 @@
 //!   overflow list so commit/abort can find it again without searching the
 //!   LLC.
 
-use dhtm_cache::l1::L1Entry;
+use dhtm_cache::l1::{L1Entry, StoreKind};
 use dhtm_nvm::record::LogRecord;
 use dhtm_types::addr::{Address, LineAddr};
 use dhtm_types::config::SystemConfig;
@@ -401,13 +401,14 @@ impl TxEngine for DhtmEngine {
         if transactional {
             self.emit_sentinels(machine, core, deps, now);
             let entry = machine.mem.l1_mut(core).entry_mut(line).expect("filled");
-            entry.read_bit = true;
+            let read_bit_was_set = std::mem::replace(&mut entry.read_bit, true);
             if out.reread_own_overflow {
                 // Figure 4 corner case: a re-read line that previously
                 // overflowed still belongs to the write set.
                 entry.write_bit = true;
+                self.states[core.get()].note_reread_write_bit(line);
             }
-            self.states[core.get()].record_load(line);
+            self.states[core.get()].record_load(line, read_bit_was_set);
         }
         StepOutcome::done(out.done)
     }
@@ -450,17 +451,18 @@ impl TxEngine for DhtmEngine {
                 return self.do_abort(machine, core, out.done, reason);
             }
         }
-        machine.mem.write_word_in_l1(core, addr, value);
+        // The fallback runs write-aside (below): its stores leave the line
+        // clean.
+        let kind = if transactional {
+            StoreKind::Transactional
+        } else {
+            StoreKind::WriteAside
+        };
+        let write_bit_was_set = machine.mem.store_word_in_l1(core, addr, value, kind);
 
         if transactional {
             self.emit_sentinels(machine, core, deps, now);
-            machine
-                .mem
-                .l1_mut(core)
-                .entry_mut(line)
-                .expect("filled")
-                .write_bit = true;
-            self.states[core.get()].record_store(line);
+            self.states[core.get()].record_store(line, write_bit_was_set);
 
             // Hardware redo logging (Section III-A).
             if self.options.word_granular_logging {
@@ -485,13 +487,14 @@ impl TxEngine for DhtmEngine {
             let tx = self.states[core.get()].tx;
             let rec = LogRecord::redo_word(tx, line, addr.word_index().get(), value);
             let Some(durable) = self.append_record(machine, core, rec, now) else {
+                // The store's value has no durable copy and is not yet in
+                // `fallback_values`, whose lines the abort discards: discard
+                // this line too, so no later read observes the value.
+                machine.mem.invalidate_l1_line(core, line);
                 return self.do_abort(machine, core, out.done, AbortReason::LogOverflow);
             };
-            if let Some(entry) = machine.mem.l1_mut(core).entry_mut(line) {
-                entry.dirty = false;
-            }
             self.fallback_values[core.get()].insert(addr, value);
-            self.states[core.get()].record_store(line);
+            self.states[core.get()].record_store(line, false);
             return StepOutcome::done(durable.max(out.done));
         }
         StepOutcome::done(out.done)
@@ -981,5 +984,30 @@ mod tests {
         let mut crashed = m.mem.domain().crash_snapshot();
         RecoveryManager::new().recover(&mut crashed).unwrap();
         assert_eq!(crashed.memory().read_word(addr), 5);
+    }
+
+    #[test]
+    fn fallback_log_overflow_leaves_no_aborted_value_cached() {
+        let mut cfg = SystemConfig::small_test();
+        cfg.log_region_records = 4;
+        let mut m = Machine::new(cfg.clone());
+        let mut e = DhtmEngine::new(&cfg);
+        e.init(&mut m);
+        e.states[0].aborts_this_tx = cfg.max_htm_retries + 1;
+        assert!(e.begin(&mut m, c(0), &[], 0).is_done());
+        let mut overflowed = None;
+        for i in 0..8u64 {
+            let addr = Address::new(0x4000 + i * 64);
+            if let StepOutcome::Aborted { reason, .. } = e.write(&mut m, c(0), addr, 100 + i, 10) {
+                assert_eq!(reason, AbortReason::LogOverflow);
+                overflowed = Some(addr);
+                break;
+            }
+        }
+        let addr = overflowed.expect("a 4-record log overflows within 8 stores");
+        // The store whose redo record did not fit was written write-aside;
+        // the abort must not leave its value in the cache, clean or dirty.
+        assert!(m.mem.l1(c(0)).entry(addr.line()).is_none());
+        assert!(m.mem.l1(c(0)).iter().all(|(_, entry)| !entry.dirty));
     }
 }

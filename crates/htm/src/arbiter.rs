@@ -32,6 +32,7 @@ pub struct ArbiterConfig {
 impl ArbiterConfig {
     /// Configuration for an RTM-like design with the paper's default
     /// first-writer-wins policy.
+    #[inline]
     pub fn rtm_like(policy: ConflictPolicy) -> Self {
         ArbiterConfig {
             policy,
@@ -41,6 +42,7 @@ impl ArbiterConfig {
     }
 
     /// Configuration for the DHTM engine.
+    #[inline]
     pub fn dhtm(policy: ConflictPolicy) -> Self {
         ArbiterConfig {
             policy,
@@ -50,6 +52,7 @@ impl ArbiterConfig {
     }
 
     /// Configuration for a LogTM-style engine.
+    #[inline]
     pub fn logtm(policy: ConflictPolicy) -> Self {
         ArbiterConfig {
             policy,
@@ -82,6 +85,7 @@ pub struct HtmArbiter<'a> {
 
 impl<'a> HtmArbiter<'a> {
     /// Creates an arbiter over the design's per-core states.
+    #[inline]
     pub fn new(
         states: &'a mut [HtmCoreState],
         config: ArbiterConfig,
@@ -98,6 +102,7 @@ impl<'a> HtmArbiter<'a> {
 
     /// Dependencies on committed-but-incomplete transactions discovered
     /// during the access (drained by the engine to emit sentinels).
+    #[inline]
     pub fn into_dependencies(self) -> Vec<(CoreId, TxId)> {
         self.dependencies
     }
@@ -216,7 +221,7 @@ mod tests {
     fn first_writer_wins_aborts_requester_on_write_conflict() {
         let mut s = states(2);
         s[1].begin(TxId::new(5), 0);
-        s[1].record_store(LineAddr::new(42));
+        s[1].record_store(LineAddr::new(42), false);
         let mut arb = HtmArbiter::new(
             &mut s,
             ArbiterConfig::rtm_like(ConflictPolicy::FirstWriterWins),
@@ -231,7 +236,7 @@ mod tests {
     fn requester_wins_dooms_holder_on_write_conflict() {
         let mut s = states(2);
         s[1].begin(TxId::new(5), 0);
-        s[1].record_store(LineAddr::new(42));
+        s[1].record_store(LineAddr::new(42), false);
         let mut arb = HtmArbiter::new(
             &mut s,
             ArbiterConfig::rtm_like(ConflictPolicy::RequesterWins),
@@ -251,7 +256,7 @@ mod tests {
         ] {
             let mut s = states(2);
             s[1].begin(TxId::new(5), 0);
-            s[1].record_load(LineAddr::new(42));
+            s[1].record_load(LineAddr::new(42), false);
             let mut arb = HtmArbiter::new(&mut s, ArbiterConfig::rtm_like(policy), true);
             let d = arb.decide(&probe(1, ProbeKind::Invalidate, true, false, true));
             assert_eq!(d, ProbeDecision::AbortHolder, "policy {policy}");
@@ -262,7 +267,7 @@ mod tests {
     fn read_read_sharing_is_not_a_conflict() {
         let mut s = states(2);
         s[1].begin(TxId::new(5), 0);
-        s[1].record_load(LineAddr::new(42));
+        s[1].record_load(LineAddr::new(42), false);
         let mut arb = HtmArbiter::new(
             &mut s,
             ArbiterConfig::rtm_like(ConflictPolicy::FirstWriterWins),
@@ -278,7 +283,7 @@ mod tests {
         // shadow write set (== overflow list) does.
         let mut s = states(2);
         s[1].begin(TxId::new(5), 0);
-        s[1].record_store(LineAddr::new(42));
+        s[1].record_store(LineAddr::new(42), false);
         s[1].overflowed.insert(LineAddr::new(42));
         let mut arb = HtmArbiter::new(
             &mut s,
@@ -307,7 +312,7 @@ mod tests {
     fn non_transactional_requester_always_wins() {
         let mut s = states(2);
         s[1].begin(TxId::new(5), 0);
-        s[1].record_store(LineAddr::new(42));
+        s[1].record_store(LineAddr::new(42), false);
         let mut arb = HtmArbiter::new(
             &mut s,
             ArbiterConfig::rtm_like(ConflictPolicy::FirstWriterWins),
@@ -321,7 +326,7 @@ mod tests {
     fn logtm_nacks_instead_of_aborting() {
         let mut s = states(2);
         s[1].begin(TxId::new(5), 0);
-        s[1].record_store(LineAddr::new(42));
+        s[1].record_store(LineAddr::new(42), false);
         let mut arb = HtmArbiter::new(
             &mut s,
             ArbiterConfig::logtm(ConflictPolicy::FirstWriterWins),
@@ -336,7 +341,7 @@ mod tests {
     fn committed_holder_yields_dependency_not_conflict() {
         let mut s = states(2);
         s[1].begin(TxId::new(9), 0);
-        s[1].record_store(LineAddr::new(42));
+        s[1].record_store(LineAddr::new(42), false);
         s[1].status = TxStatus::Committed;
         let mut arb = HtmArbiter::new(
             &mut s,
@@ -353,7 +358,7 @@ mod tests {
     fn committed_holder_without_dependency_recording_just_proceeds() {
         let mut s = states(2);
         s[1].begin(TxId::new(9), 0);
-        s[1].record_store(LineAddr::new(42));
+        s[1].record_store(LineAddr::new(42), false);
         s[1].status = TxStatus::Committed;
         let mut arb = HtmArbiter::new(
             &mut s,

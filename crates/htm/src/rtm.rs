@@ -8,7 +8,7 @@
 //! aborts a transaction falls back to a single global lock, mirroring the
 //! standard RTM fallback idiom.
 
-use dhtm_cache::l1::L1Entry;
+use dhtm_cache::l1::{L1Entry, StoreKind};
 use dhtm_types::addr::{Address, LineAddr};
 use dhtm_types::config::SystemConfig;
 use dhtm_types::ids::CoreId;
@@ -145,6 +145,54 @@ impl RtmEngine {
         machine.mem.evict_nontransactional(core, line, entry, now);
         None
     }
+
+    /// [`TxEngine::write`], with `fallback_kind` saying what a store on the
+    /// global-lock fallback path does to its L1 line. The engine's own
+    /// `write` passes [`StoreKind::Plain`]; a composed design whose fallback
+    /// runs write-aside (sdTM) passes [`StoreKind::WriteAside`].
+    pub fn write_with_fallback(
+        &mut self,
+        machine: &mut Machine,
+        core: CoreId,
+        addr: Address,
+        value: u64,
+        now: u64,
+        fallback_kind: StoreKind,
+    ) -> StepOutcome {
+        if let Some(reason) = self.states[core.get()].doomed {
+            return self.do_abort(machine, core, now, reason);
+        }
+        let line = addr.line();
+        let transactional = !self.in_fallback[core.get()];
+        let cfg = self.arbiter_config();
+        let out = {
+            let mut arb = HtmArbiter::new(&mut self.states, cfg, transactional);
+            machine.mem.store(core, line, now, &mut arb)
+        };
+        if out.aborted_by_conflict {
+            return self.do_abort(machine, core, now, AbortReason::Conflict);
+        }
+        if out.nacked {
+            return StepOutcome::Stall {
+                retry_at: out.done + 32,
+            };
+        }
+        if let Some((vline, ventry)) = out.evicted_victim {
+            if let Some(reason) = self.handle_victim(machine, core, vline, &ventry, now) {
+                return self.do_abort(machine, core, out.done, reason);
+            }
+        }
+        let kind = if transactional {
+            StoreKind::Transactional
+        } else {
+            fallback_kind
+        };
+        let write_bit_was_set = machine.mem.store_word_in_l1(core, addr, value, kind);
+        if transactional {
+            self.states[core.get()].record_store(line, write_bit_was_set);
+        }
+        StepOutcome::done(out.done)
+    }
 }
 
 impl TxEngine for RtmEngine {
@@ -222,13 +270,9 @@ impl TxEngine for RtmEngine {
             }
         }
         if transactional {
-            machine
-                .mem
-                .l1_mut(core)
-                .entry_mut(line)
-                .expect("filled")
-                .read_bit = true;
-            self.states[core.get()].record_load(line);
+            let entry = machine.mem.l1_mut(core).entry_mut(line).expect("filled");
+            let read_bit_was_set = std::mem::replace(&mut entry.read_bit, true);
+            self.states[core.get()].record_load(line, read_bit_was_set);
         }
         StepOutcome::done(out.done)
     }
@@ -241,40 +285,7 @@ impl TxEngine for RtmEngine {
         value: u64,
         now: u64,
     ) -> StepOutcome {
-        if let Some(reason) = self.states[core.get()].doomed {
-            return self.do_abort(machine, core, now, reason);
-        }
-        let line = addr.line();
-        let transactional = !self.in_fallback[core.get()];
-        let cfg = self.arbiter_config();
-        let out = {
-            let mut arb = HtmArbiter::new(&mut self.states, cfg, transactional);
-            machine.mem.store(core, line, now, &mut arb)
-        };
-        if out.aborted_by_conflict {
-            return self.do_abort(machine, core, now, AbortReason::Conflict);
-        }
-        if out.nacked {
-            return StepOutcome::Stall {
-                retry_at: out.done + 32,
-            };
-        }
-        if let Some((vline, ventry)) = out.evicted_victim {
-            if let Some(reason) = self.handle_victim(machine, core, vline, &ventry, now) {
-                return self.do_abort(machine, core, out.done, reason);
-            }
-        }
-        machine.mem.write_word_in_l1(core, addr, value);
-        if transactional {
-            machine
-                .mem
-                .l1_mut(core)
-                .entry_mut(line)
-                .expect("filled")
-                .write_bit = true;
-            self.states[core.get()].record_store(line);
-        }
-        StepOutcome::done(out.done)
+        self.write_with_fallback(machine, core, addr, value, now, StoreKind::Plain)
     }
 
     fn commit(&mut self, machine: &mut Machine, core: CoreId, now: u64) -> StepOutcome {

@@ -47,6 +47,11 @@ pub struct HtmCoreState {
     pub read_set: LineSet,
     /// Lines that overflowed from the L1 while in the write set.
     pub overflowed: LineSet,
+    /// A load of this attempt set the write bit of a line outside the write
+    /// set (see [`HtmCoreState::note_reread_write_bit`]). While it is set, a
+    /// set write bit no longer implies write-set membership, so
+    /// [`HtmCoreState::record_store`] inserts on every store.
+    pub unshadowed_write_bit: bool,
     /// Cycle at which the previous transaction's completion phase ends; a new
     /// transaction cannot begin earlier.
     pub next_begin_at: u64,
@@ -75,6 +80,7 @@ impl HtmCoreState {
             write_set: LineSet::new(),
             read_set: LineSet::new(),
             overflowed: LineSet::new(),
+            unshadowed_write_bit: false,
             next_begin_at: 0,
             loads: 0,
             stores: 0,
@@ -93,6 +99,7 @@ impl HtmCoreState {
         self.write_set.clear();
         self.read_set.clear();
         self.overflowed.clear();
+        self.unshadowed_write_bit = false;
         self.signature.clear();
         self.loads = 0;
         self.stores = 0;
@@ -102,26 +109,66 @@ impl HtmCoreState {
 
     /// Whether the line is in the transaction's write set (resident or
     /// overflowed).
+    #[inline]
     pub fn in_write_set(&self, line: LineAddr) -> bool {
         self.write_set.contains(line)
     }
 
     /// Whether the line is in the transaction's read set (resident read bit
     /// or overflow signature — the signature may report false positives).
+    #[inline]
     pub fn in_read_set(&self, line: LineAddr) -> bool {
         self.read_set.contains(line) || self.signature.maybe_contains(line)
     }
 
-    /// Records a transactional load.
-    pub fn record_load(&mut self, line: LineAddr) {
+    /// Records a transactional load. `read_bit_was_set` is the line's L1
+    /// read bit before the load set it: a set bit means an earlier load of
+    /// this attempt already put the line in the read set, so the insert is
+    /// skipped.
+    #[inline]
+    pub fn record_load(&mut self, line: LineAddr, read_bit_was_set: bool) {
         self.loads += 1;
-        self.read_set.insert(line);
+        if read_bit_was_set {
+            debug_assert!(
+                self.read_set.contains(line),
+                "read bit set outside the read set"
+            );
+        } else {
+            self.read_set.insert(line);
+        }
     }
 
-    /// Records a transactional store.
-    pub fn record_store(&mut self, line: LineAddr) {
+    /// Records a transactional store. `write_bit_was_set` is the line's L1
+    /// write bit before the store (the flag [`L1Cache::store_word`]
+    /// returns): a set bit means an earlier store of this attempt already
+    /// put the line in the write set, so the insert is skipped. The
+    /// converse does not hold — a probe can invalidate the line and its
+    /// bit while the line stays in the write set — so a clear bit always
+    /// inserts.
+    ///
+    /// [`L1Cache::store_word`]: dhtm_cache::l1::L1Cache::store_word
+    #[inline]
+    pub fn record_store(&mut self, line: LineAddr, write_bit_was_set: bool) {
         self.stores += 1;
-        self.write_set.insert(line);
+        if write_bit_was_set && !self.unshadowed_write_bit {
+            debug_assert!(
+                self.write_set.contains(line),
+                "write bit set outside the write set"
+            );
+        } else {
+            self.write_set.insert(line);
+        }
+    }
+
+    /// Notes that a load set `line`'s write bit because the directory still
+    /// names this core the line's owner (`reread_own_overflow`). That is
+    /// meant for a write-set line that overflowed and comes back, but a
+    /// clean read-set line evicted from the L1 keeps its sticky owner too,
+    /// and then the bit sits on a line outside the write set.
+    pub fn note_reread_write_bit(&mut self, line: LineAddr) {
+        if !self.write_set.contains(line) {
+            self.unshadowed_write_bit = true;
+        }
     }
 
     /// Snapshot statistics for the attempt that is about to commit.
@@ -145,6 +192,7 @@ impl HtmCoreState {
         self.write_set.clear();
         self.read_set.clear();
         self.overflowed.clear();
+        self.unshadowed_write_bit = false;
         self.signature.clear();
         self.loads = 0;
         self.stores = 0;
@@ -167,8 +215,8 @@ mod tests {
     #[test]
     fn begin_clears_previous_state() {
         let mut s = HtmCoreState::new(256);
-        s.record_load(LineAddr::new(1));
-        s.record_store(LineAddr::new(2));
+        s.record_load(LineAddr::new(1), false);
+        s.record_store(LineAddr::new(2), false);
         s.signature.insert(LineAddr::new(3));
         s.doomed = Some(AbortReason::Conflict);
         s.begin(TxId::new(7), 100);
@@ -185,7 +233,7 @@ mod tests {
     fn read_set_includes_signature_hits() {
         let mut s = HtmCoreState::new(256);
         s.begin(TxId::new(1), 0);
-        s.record_load(LineAddr::new(10));
+        s.record_load(LineAddr::new(10), false);
         assert!(s.in_read_set(LineAddr::new(10)));
         // A line evicted from the L1 is tracked only via the signature.
         s.signature.insert(LineAddr::new(99));
@@ -197,9 +245,9 @@ mod tests {
     fn stats_snapshot_captures_attempt() {
         let mut s = HtmCoreState::new(256);
         s.begin(TxId::new(1), 50);
-        s.record_load(LineAddr::new(1));
-        s.record_store(LineAddr::new(2));
-        s.record_store(LineAddr::new(2));
+        s.record_load(LineAddr::new(1), false);
+        s.record_store(LineAddr::new(2), false);
+        s.record_store(LineAddr::new(2), true);
         s.log_records = 3;
         s.snapshot_stats(250);
         assert_eq!(s.last_stats.loads, 1);
@@ -210,10 +258,41 @@ mod tests {
     }
 
     #[test]
+    fn repeat_stores_and_loads_skip_the_shadow_insert() {
+        let mut s = HtmCoreState::new(256);
+        s.begin(TxId::new(1), 0);
+        s.record_store(LineAddr::new(2), false);
+        s.record_store(LineAddr::new(2), true);
+        s.record_load(LineAddr::new(3), false);
+        s.record_load(LineAddr::new(3), true);
+        assert_eq!((s.stores, s.loads), (2, 2));
+        assert_eq!(s.write_set.iter().collect::<Vec<_>>(), [LineAddr::new(2)]);
+        assert_eq!(s.read_set.iter().collect::<Vec<_>>(), [LineAddr::new(3)]);
+    }
+
+    #[test]
+    fn a_reread_write_bit_outside_the_write_set_forces_inserts() {
+        let mut s = HtmCoreState::new(256);
+        s.begin(TxId::new(1), 0);
+        s.record_store(LineAddr::new(2), false);
+        // An overflowed write-set line coming back keeps the fast path.
+        s.note_reread_write_bit(LineAddr::new(2));
+        assert!(!s.unshadowed_write_bit);
+        // A read-set line coming back with a write bit does not: its first
+        // store must still insert although the bit is already set.
+        s.note_reread_write_bit(LineAddr::new(5));
+        assert!(s.unshadowed_write_bit);
+        s.record_store(LineAddr::new(5), true);
+        assert!(s.in_write_set(LineAddr::new(5)));
+        s.reset_after_abort();
+        assert!(!s.unshadowed_write_bit);
+    }
+
+    #[test]
     fn abort_increments_count_and_clears_sets() {
         let mut s = HtmCoreState::new(256);
         s.begin(TxId::new(1), 0);
-        s.record_store(LineAddr::new(2));
+        s.record_store(LineAddr::new(2), false);
         s.reset_after_abort();
         assert_eq!(s.status, TxStatus::Idle);
         assert_eq!(s.aborts_this_tx, 1);

@@ -143,6 +143,7 @@ impl MemoryChannel {
     /// Returns the cycle at which the transfer completes (i.e. the data is
     /// fully on the other side of the bus). Queueing delay caused by earlier
     /// transfers is included.
+    #[inline]
     pub fn request(&mut self, now: u64, bytes: u64) -> u64 {
         let arrival = self.units_of_cycle(now);
         let start = self.cursor.max(arrival);

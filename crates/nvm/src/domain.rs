@@ -160,6 +160,7 @@ impl PersistentDomain {
     }
 
     /// Ticks the clock for one applied mutation, journaling it if enabled.
+    #[inline]
     fn tick(&mut self, mutation: DurableMutation) {
         self.mutations += 1;
         if let Some(journal) = &mut self.journal {
@@ -182,6 +183,7 @@ impl PersistentDomain {
     /// # Panics
     ///
     /// Panics if `thread` is out of range.
+    #[inline]
     pub fn append_log(&mut self, thread: ThreadId, record: LogRecord) -> Result<()> {
         self.logs[thread.get()].append(record)?;
         self.tick(DurableMutation::AppendLog(thread, record));
@@ -268,12 +270,14 @@ impl PersistentDomain {
     }
 
     /// Convenience: reads a full line from the in-place image.
+    #[inline]
     pub fn read_line(&self, line: LineAddr) -> LineData {
         self.memory.read_line(line)
     }
 
     /// Writes a full line to the in-place image (a data write-back reaching
     /// persistent memory), ticking the mutation clock.
+    #[inline]
     pub fn write_line(&mut self, line: LineAddr, data: LineData) {
         self.memory.write_line(line, data);
         self.tick(DurableMutation::WriteLine(line, data));
@@ -340,6 +344,7 @@ impl PersistentDomain {
     }
 
     /// The thread whose overflow list records `line`, if any.
+    #[inline]
     pub fn speculative_overflow_owner(&self, line: LineAddr) -> Option<ThreadId> {
         self.overflow_lists
             .iter()

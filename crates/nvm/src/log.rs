@@ -75,6 +75,7 @@ impl TransactionLog {
     /// Returns [`DhtmError::LogOverflow`] if the log is full; the caller
     /// (the DHTM engine) reacts by aborting the transaction, as the paper
     /// prescribes.
+    #[inline]
     pub fn append(&mut self, record: LogRecord) -> Result<()> {
         if self.records.len() >= self.capacity_records {
             return Err(DhtmError::LogOverflow {

@@ -68,6 +68,7 @@ impl PersistentMemory {
 
     /// Index of the slot holding `line`, or of the empty slot where it
     /// would be inserted.
+    #[inline]
     fn probe(&self, line: LineAddr) -> usize {
         let mut i = hash_line(line) as usize & self.mask;
         loop {
@@ -96,6 +97,7 @@ impl PersistentMemory {
     }
 
     /// Reads a full cache line. Unwritten lines read as zero.
+    #[inline]
     pub fn read_line(&self, line: LineAddr) -> LineData {
         match &self.slots[self.probe(line)] {
             Some((_, data)) => *data,
@@ -105,6 +107,7 @@ impl PersistentMemory {
 
     /// Mutable reference to a line's stored data, materialising a zero line
     /// on first touch.
+    #[inline]
     fn line_mut(&mut self, line: LineAddr) -> &mut LineData {
         self.grow_if_needed();
         let i = self.probe(line);
@@ -117,12 +120,14 @@ impl PersistentMemory {
 
     /// Writes a full cache line in place (a data write-back from the cache
     /// hierarchy or a recovery-time replay).
+    #[inline]
     pub fn write_line(&mut self, line: LineAddr, data: LineData) {
         self.line_writes += 1;
         *self.line_mut(line) = data;
     }
 
     /// Reads one 64-bit word.
+    #[inline]
     pub fn read_word(&self, addr: Address) -> u64 {
         self.read_line(addr.line())[addr.word_index().get()]
     }

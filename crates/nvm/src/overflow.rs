@@ -102,6 +102,7 @@ impl OverflowList {
     }
 
     /// Whether `line` is recorded as overflowed for transaction `tx`.
+    #[inline]
     pub fn contains(&self, tx: TxId, line: LineAddr) -> bool {
         self.entries.iter().any(|&(t, l)| t == tx && l == line)
     }

@@ -78,6 +78,7 @@ pub const MARKER_RECORD_BYTES: u64 = 16;
 
 impl LogRecord {
     /// Creates a cache-line-granular redo record.
+    #[inline]
     pub fn redo(tx: TxId, line: LineAddr, data: LineData) -> Self {
         LogRecord {
             tx,
@@ -86,6 +87,7 @@ impl LogRecord {
     }
 
     /// Creates a cache-line-granular undo record.
+    #[inline]
     pub fn undo(tx: TxId, line: LineAddr, data: LineData) -> Self {
         LogRecord {
             tx,
@@ -98,6 +100,7 @@ impl LogRecord {
     /// # Panics
     ///
     /// Panics if `word >= 8`.
+    #[inline]
     pub fn redo_word(tx: TxId, line: LineAddr, word: usize, value: u64) -> Self {
         assert!(word < 8, "word index out of range");
         LogRecord {
@@ -144,6 +147,7 @@ impl LogRecord {
     /// address metadata; word-granular records carry 8 bytes of data plus
     /// 8 bytes of metadata (this is why word-granular logging consumes more
     /// bandwidth per useful byte, Section III-A); markers are 16 bytes.
+    #[inline]
     pub fn size_bytes(&self) -> u64 {
         match self.kind {
             RecordKind::Redo { .. } | RecordKind::Undo { .. } => {

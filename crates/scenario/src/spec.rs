@@ -411,15 +411,26 @@ mod tests {
     }
 
     /// Specs that parse but describe a machine the simulator cannot
-    /// build. Each used to pass `from_toml` and then panic: the first
+    /// build. Each used to pass `from_toml` and then fail: the first
     /// three in `ConfigOverlay::apply`'s geometry assert (or a division
-    /// by zero) inside `validate`, the last on a 64-bit sharer-mask shift
-    /// once the run started.
-    const HOSTILE_CONFIGS: [(&str, &str); 4] = [
+    /// by zero) inside `validate`, the fourth on a 64-bit sharer-mask shift
+    /// once the run started, the last two when the engine allocated its
+    /// per-core read signatures.
+    const HOSTILE_CONFIGS: [(&str, &str); 6] = [
         ("llc_ways = 3", "power of two"),
         ("llc_capacity_bytes = 1", "at least one set"),
         ("llc_ways = 0", "ways must lie within"),
         ("num_cores = 65", "num_cores must lie within"),
+        // 2^40 and 2^62 bits: a 128 GiB per-core allocation that aborts
+        // the process, and a "capacity overflow" panic.
+        (
+            "read_signature_bits = 1099511627776",
+            "read_signature_bits must be at most",
+        ),
+        (
+            "read_signature_bits = 4611686018427387904",
+            "read_signature_bits must be at most",
+        ),
     ];
 
     fn hostile_spec(config: &str) -> SimSpec {

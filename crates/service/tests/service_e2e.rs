@@ -245,9 +245,24 @@ fn a_hostile_geometry_gets_an_error_event_not_a_dropped_connection() {
     assert!(message.contains("does not validate"), "got: {message}");
     assert!(message.contains("power of two"), "got: {message}");
 
+    // A 2^40-bit read signature: each core's allocation (128 GiB) used to
+    // abort the whole server process, which no worker can catch.
+    let oversized = SimSpec::from_toml(
+        "engine = \"dhtm\"\nworkload = \"hash\"\nbase_config = \"small\"\n\
+         commits = 4\n[config]\nread_signature_bits = 1099511627776\n",
+    )
+    .unwrap();
+    let err = client.submit(2, vec![oversized]).unwrap_err();
+    let message = err.to_string();
+    assert!(message.contains("does not validate"), "got: {message}");
+    assert!(
+        message.contains("read_signature_bits must be at most"),
+        "got: {message}"
+    );
+
     // The same connection still serves a valid batch.
     let outcome = client
-        .submit(2, vec![spec(DesignKind::Dhtm, "hash", 21)])
+        .submit(3, vec![spec(DesignKind::Dhtm, "hash", 21)])
         .unwrap();
     assert_eq!(outcome.results.len(), 1);
     assert_eq!(outcome.executed, 1);

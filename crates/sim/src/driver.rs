@@ -699,6 +699,7 @@ mod tests {
     use super::*;
     use crate::engine::Polling;
     use crate::locks::LockId;
+    use dhtm_cache::l1::StoreKind;
     use dhtm_coherence::probe::NoConflicts;
     use dhtm_types::addr::Address;
     use dhtm_types::config::SystemConfig;
@@ -751,7 +752,9 @@ mod tests {
             if let Some((line, entry)) = out.evicted_victim {
                 machine.mem.evict_nontransactional(core, line, &entry, now);
             }
-            machine.mem.write_word_in_l1(core, addr, value);
+            machine
+                .mem
+                .store_word_in_l1(core, addr, value, StoreKind::Plain);
             StepOutcome::done(out.done)
         }
         fn commit(&mut self, _machine: &mut Machine, _core: CoreId, now: u64) -> StepOutcome {

@@ -91,6 +91,7 @@ impl LockTable {
     }
 
     /// Whether `lock` is currently held (by anyone).
+    #[inline]
     pub fn is_held(&self, lock: LockId) -> bool {
         self.held.contains_key(&lock)
     }

@@ -35,6 +35,11 @@ pub const MAX_LOG_BUFFER_ENTRIES: usize = 1 << 16;
 /// line's sharers in a 64-bit mask, one bit per core.
 pub const MAX_CORES: usize = 64;
 
+/// Largest accepted read-set overflow signature, in bits: 2^20, 512 times
+/// the paper's 2048. Each core allocates its signature up front (128 KiB at
+/// this bound) and clears it at every transaction begin.
+pub const MAX_READ_SIGNATURE_BITS: usize = 1 << 20;
+
 /// Largest cache, in lines: 2^22, i.e. 256 MiB of 64-byte lines, 32 times
 /// the paper's LLC. A set-associative array reserves fewer than two slots
 /// per line and addresses them with `u32` offsets; this bound keeps the
@@ -351,6 +356,12 @@ impl SystemConfig {
         if self.read_signature_bits == 0 || !self.read_signature_bits.is_power_of_two() {
             return Err("read_signature_bits must be a power of two".into());
         }
+        if self.read_signature_bits > MAX_READ_SIGNATURE_BITS {
+            return Err(format!(
+                "read_signature_bits must be at most {MAX_READ_SIGNATURE_BITS}, got {}",
+                self.read_signature_bits
+            ));
+        }
         Ok(())
     }
 }
@@ -588,6 +599,15 @@ mod tests {
         assert!(cfg.validate().is_ok());
         cfg.log_buffer_entries = MAX_LOG_BUFFER_ENTRIES + 1;
         assert!(cfg.validate().is_err());
+
+        let mut cfg = SystemConfig::small_test();
+        cfg.read_signature_bits = MAX_READ_SIGNATURE_BITS;
+        assert!(cfg.validate().is_ok());
+        for bits in [MAX_READ_SIGNATURE_BITS * 2, 1 << 40, 1 << 62] {
+            cfg.read_signature_bits = bits;
+            let err = cfg.validate().unwrap_err();
+            assert!(err.contains("read_signature_bits must be at most"), "{err}");
+        }
 
         let base = SystemConfig::small_test().bytes_per_cycle();
         for (multiplier, ok) in [

@@ -102,6 +102,7 @@ impl TxIdAllocator {
     }
 
     /// Returns a fresh transaction id.
+    #[inline]
     pub fn allocate(&mut self) -> TxId {
         let id = TxId::new(self.next);
         self.next += 1;
