@@ -13,8 +13,8 @@ pub enum Tier {
     /// forever. Floats, unordered iteration and wall-clock/entropy sources
     /// are forbidden outside allowlisted reporting/config-boundary items.
     Deterministic,
-    /// Crates that face the wall clock (benches, the service, the harness
-    /// thread pool, observability): exempt from the determinism rules but
+    /// Crates that face the wall clock (benches, the service, the worker
+    /// pool, observability): exempt from the determinism rules but
     /// subject to the concurrency rules where a lock hierarchy is declared.
     WallClock,
 }
@@ -189,11 +189,6 @@ impl Config {
                     // internally without a lock and must never be consulted
                     // while `jobs` is held (that is the blocking rule's job).
                     order: &["jobs", "work_tx", "work_rx", "by_hash"],
-                },
-                LockHierarchy {
-                    crate_dir: "crates/harness",
-                    // One rank: per-cell result slots never nest.
-                    order: &["slots"],
                 },
             ],
             blocking: vec![

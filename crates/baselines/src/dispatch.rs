@@ -203,7 +203,7 @@ mod tests {
         let cfg = SystemConfig::small_test();
         let run = |boxed: bool| {
             let mut machine = Machine::new(cfg.clone());
-            let mut workload = dhtm_workloads::by_name("hash", 7).expect("known workload");
+            let mut workload = dhtm_workloads::try_by_name("hash", 7).expect("known workload");
             let limits = RunLimits::quick().with_target_commits(10);
             let sim = Simulator::new();
             if boxed {

@@ -3,18 +3,19 @@
 //! `cargo bench` exercises the full stack of every design.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dhtm_bench::run_pair;
-use dhtm_types::config::SystemConfig;
+use dhtm_scenario::{ResolvedSpec, SimSpec};
 use dhtm_types::policy::DesignKind;
 
 fn bench_designs(c: &mut Criterion) {
-    let cfg = SystemConfig::isca18_baseline();
     let mut group = c.benchmark_group("simulate_hash_50_commits");
     group.sample_size(10);
     for design in DesignKind::ALL {
-        group.bench_function(design.label(), |b| {
-            b.iter(|| run_pair(design, "hash", &cfg, 50).stats.committed)
-        });
+        let spec: ResolvedSpec = SimSpec::builder(design, "hash")
+            .commits(50)
+            .build()
+            .and_then(|spec| spec.resolve())
+            .expect("every design runs hash");
+        group.bench_function(design.label(), |b| b.iter(|| spec.run().stats.committed));
     }
     group.finish();
 }

@@ -1,51 +1,8 @@
-//! Smoke test: every figure/table reproduction binary under `src/bin/` runs
-//! to completion in quick mode (`DHTM_BENCH_QUICK=1`, which swaps in
-//! `SystemConfig::small_test` and ~20x smaller commit targets). This guards
-//! the paper-reproduction entry points: a binary that panics, deadlocks or
-//! prints nothing is a broken figure.
+//! Smoke tests of the `perf_trajectory` binary: it records a trajectory
+//! point, its regression gate accepts its own fresh output, and it derives
+//! the next point's name from the files already present.
 
 use std::process::Command;
-
-fn run_quick(name: &str, exe: &str) {
-    let output = Command::new(exe)
-        .env("DHTM_BENCH_QUICK", "1")
-        .output()
-        .unwrap_or_else(|e| panic!("failed to spawn {name} ({exe}): {e}"));
-    let stdout = String::from_utf8_lossy(&output.stdout);
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(
-        output.status.success(),
-        "{name} exited with {:?}\nstdout:\n{stdout}\nstderr:\n{stderr}",
-        output.status.code(),
-    );
-    assert!(
-        stdout.lines().count() >= 2,
-        "{name} printed almost nothing:\n{stdout}"
-    );
-}
-
-macro_rules! bin_smoke_tests {
-    ($($test_name:ident => $bin:literal),+ $(,)?) => {
-        $(
-            #[test]
-            fn $test_name() {
-                run_quick($bin, env!(concat!("CARGO_BIN_EXE_", $bin)));
-            }
-        )+
-    };
-}
-
-bin_smoke_tests! {
-    fig5_throughput_runs => "fig5_throughput",
-    fig6_log_buffer_runs => "fig6_log_buffer",
-    table2_hw_overhead_runs => "table2_hw_overhead",
-    table4_write_sets_runs => "table4_write_sets",
-    table5_abort_rates_runs => "table5_abort_rates",
-    table6_oltp_runs => "table6_oltp",
-    table7_bandwidth_runs => "table7_bandwidth",
-    ablation_instant_writes_runs => "ablation_instant_writes",
-    crash_matrix_runs => "crash_matrix",
-}
 
 /// The perf-trajectory binary runs, writes valid-looking JSON where asked
 /// (not at the repo root — the checked-in trajectory must stay untouched by

@@ -3,8 +3,8 @@
 //!
 //! Cache-hierarchy structures for the DHTM reproduction: the private L1 data
 //! caches with transactional read/write bits, the shared LLC that holds the
-//! coherence directory, the read-set overflow signature, the DHTM log buffer
-//! and MSHR bookkeeping.
+//! coherence directory, the read-set overflow signature and the DHTM log
+//! buffer.
 //!
 //! These are *structures*, not controllers: the coherence protocol logic that
 //! moves lines between them lives in `dhtm-coherence`, and the transactional
@@ -35,7 +35,6 @@ pub mod lineset;
 pub mod llc;
 pub mod log_buffer;
 pub mod mesi;
-pub mod mshr;
 pub mod set_assoc;
 pub mod signature;
 
@@ -44,6 +43,5 @@ pub use lineset::LineSet;
 pub use llc::{DirectoryEntry, LlcCache};
 pub use log_buffer::LogBuffer;
 pub use mesi::MesiState;
-pub use mshr::MshrFile;
 pub use set_assoc::SetAssocCache;
 pub use signature::ReadSignature;

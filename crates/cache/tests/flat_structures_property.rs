@@ -2,13 +2,11 @@
 //! reference models.
 //!
 //! The PR5 data-structure overhaul replaced `SetAssocCache`'s per-set
-//! `Vec<Slot>` + `HashMap` index with one fixed-way flat slot array, and
-//! `MshrFile`'s `HashSet` with a small inline array. These tests drive both
-//! through random operation streams and check every observable — lookup
-//! results, insert victims (LRU order), removal results, membership,
-//! occupancy, allocation failures — against models written for clarity,
-//! not speed: a plain list of `(line, stamp)` pairs for the cache, a
-//! `HashSet` for the MSHR file.
+//! `Vec<Slot>` + `HashMap` index with one fixed-way flat slot array. These
+//! tests drive it through random operation streams and check every
+//! observable — lookup results, insert victims (LRU order), removal
+//! results, membership, occupancy — against a model written for clarity,
+//! not speed: a plain list of `(line, stamp)` pairs.
 //!
 //! `SetAssocCache` sizes each set's block to its occupancy, growing it
 //! 1 -> 2 -> 4 -> ... -> `ways` slots and recycling outgrown blocks, so its
@@ -28,12 +26,11 @@
 //! iteration order* after every mutation, across the inline→spill
 //! boundary.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
 use dhtm_cache::lineset::{LineSet, INLINE_LINES};
-use dhtm_cache::mshr::MshrFile;
 use dhtm_cache::set_assoc::SetAssocCache;
 use dhtm_types::addr::LineAddr;
 use dhtm_types::config::CacheGeometry;
@@ -388,39 +385,6 @@ fn check_cleared_cache_is_fresh(warmup: &[u64], ops: &[(u8, u8)]) {
 }
 
 // ---------------------------------------------------------------------------
-// Reference model for the MSHR file.
-// ---------------------------------------------------------------------------
-
-fn check_mshr_against_reference(capacity: usize, ops: &[(bool, u64)]) {
-    let mut mshr = MshrFile::new(capacity);
-    let mut reference: HashSet<u64> = HashSet::new();
-    let mut failures = 0u64;
-    let mut peak = 0usize;
-    for (i, &(alloc, raw)) in ops.iter().enumerate() {
-        let line = LineAddr::new(raw);
-        if alloc {
-            let want = if reference.contains(&raw) {
-                true // secondary miss merges
-            } else if reference.len() >= capacity {
-                failures += 1;
-                false
-            } else {
-                reference.insert(raw);
-                peak = peak.max(reference.len());
-                true
-            };
-            assert_eq!(mshr.allocate(line), want, "op {i}: allocate({raw})");
-        } else {
-            reference.remove(&raw);
-            mshr.release(line);
-        }
-        assert_eq!(mshr.outstanding(), reference.len(), "op {i}: occupancy");
-    }
-    assert_eq!(mshr.allocation_failures(), failures);
-    assert_eq!(mshr.peak_occupancy(), peak);
-}
-
-// ---------------------------------------------------------------------------
 // Reference model for LineSet: the BTreeSet it replaced.
 // ---------------------------------------------------------------------------
 
@@ -559,15 +523,6 @@ proptest! {
         ops in proptest::collection::vec((0u8..3, 0u8..72), 0..200),
     ) {
         check_cleared_cache_is_fresh(&warmup, &ops);
-    }
-
-    #[test]
-    fn mshr_file_matches_reference_model(
-        capacity in 1usize..6,
-        ops in proptest::collection::vec((0u8..2, 0u64..8), 0..200),
-    ) {
-        let ops: Vec<(bool, u64)> = ops.into_iter().map(|(k, l)| (k == 0, l)).collect();
-        check_mshr_against_reference(capacity, &ops);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The hardware DHTM adds on top of an RTM-like HTM (Table II of the paper).
 //!
 //! This module exists so that the Table II "experiment" can be regenerated
-//! programmatically (`table2_hw_overhead` in the bench crate) and so that the
+//! programmatically (`dhtm_experiments --experiment table2`) and so that the
 //! storage overhead can be asserted in tests.
 
 use dhtm_types::config::SystemConfig;

@@ -1,10 +1,6 @@
 //! The crash matrix: every design × workload cell becomes a
 //! crash-recovery experiment swept over a plan of crash points.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::thread;
-
 use dhtm_types::config::SystemConfig;
 use dhtm_types::policy::DesignKind;
 use dhtm_types::seed::stable_cell_seed;
@@ -156,30 +152,7 @@ impl CrashMatrix {
     /// Runs every cell on `jobs` worker threads (1 = serial), returning
     /// reports in cell-enumeration order regardless of scheduling.
     pub fn run(&self, jobs: usize) -> Vec<CrashCellReport> {
-        let cells = self.cells();
-        let jobs = jobs.clamp(1, cells.len().max(1));
-        if jobs == 1 {
-            return cells.iter().map(|c| self.run_cell(c)).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<CrashCellReport>>> =
-            cells.iter().map(|_| Mutex::new(None)).collect();
-        thread::scope(|scope| {
-            for _ in 0..jobs {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(cell) = cells.get(i) else {
-                        break;
-                    };
-                    let report = self.run_cell(cell);
-                    *slots[i].lock().expect("slot poisoned") = Some(report);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|s| s.into_inner().expect("slot poisoned").expect("cell ran"))
-            .collect()
+        dhtm_scenario::par_map(&self.cells(), jobs, |cell| self.run_cell(cell))
     }
 
     /// Runs one cell: profile (the cell's only simulation), plan, then

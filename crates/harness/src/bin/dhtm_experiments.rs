@@ -12,10 +12,12 @@
 //! plus the scaling sweep runs; `--format json --out results.json` dumps
 //! every simulation row for archival (the CI quick-mode artifact). With
 //! `--spec examples/specs/*.toml` each listed spec file is validated and
-//! executed instead (the typed scenario API's file front-end). `--trace`
-//! streams every matrix cell's NDJSON event trace (schema `dhtm-trace-v1`)
-//! to a file and `--profile` prints a summed component-stat table; both run
-//! the identical simulations — instrumentation never perturbs a run.
+//! executed instead (the typed scenario API's file front-end), through the
+//! same cell runner and worker pool. `--trace` streams every cell's NDJSON
+//! event trace (schema `dhtm-trace-v1`) to a file and `--profile` prints a
+//! summed component-stat table, for catalogue experiments and spec files
+//! alike; both run the identical simulations — instrumentation never
+//! perturbs a run.
 
 use dhtm_harness::cli::HarnessOpts;
 use dhtm_harness::experiments::{by_name, prepare_trace, run_specs, ExperimentResult, ALL};
@@ -28,7 +30,7 @@ fn main() {
             eprintln!("--spec and --experiment are mutually exclusive");
             std::process::exit(2);
         }
-        let result = run_specs(&opts.specs).unwrap_or_else(|e| {
+        let result = run_specs(&opts.specs, &opts).unwrap_or_else(|e| {
             eprintln!("{e}");
             std::process::exit(2);
         });

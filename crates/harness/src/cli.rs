@@ -1,5 +1,5 @@
-//! Shared CLI for every experiment binary: `--jobs`, `--format`, `--out`
-//! and (for the suite runner) `--experiment`.
+//! The `dhtm_experiments` CLI: `--experiment`, `--spec`, `--jobs`,
+//! `--format`, `--out` and the crash and instrumentation flags.
 
 use std::path::PathBuf;
 
@@ -17,7 +17,7 @@ pub struct HarnessOpts {
     pub format: OutputFormat,
     /// Where to write JSON/CSV output (stdout when absent).
     pub out: Option<PathBuf>,
-    /// Which experiment to run (suite binary only; `all` runs everything).
+    /// Which experiment to run (`all` runs everything).
     pub experiment: Option<String>,
     /// Stratified crash points per cell for the `recovery` experiment
     /// (`None` = the experiment's default of 8).
@@ -25,9 +25,8 @@ pub struct HarnessOpts {
     /// Extra cycle-denominated crash points for the `recovery` experiment.
     pub crash_at: Vec<u64>,
     /// Scenario spec files to run instead of a catalogue experiment
-    /// (suite runner only; `--spec` greedily consumes every following
-    /// non-flag argument, so shell globs like `examples/specs/*.toml`
-    /// expand naturally).
+    /// (`--spec` greedily consumes every following non-flag argument, so
+    /// shell globs like `examples/specs/*.toml` expand naturally).
     pub specs: Vec<PathBuf>,
     /// Where to write the NDJSON event trace (tracing off when absent).
     pub trace: Option<PathBuf>,
@@ -51,16 +50,16 @@ impl Default for HarnessOpts {
     }
 }
 
-/// The usage string shared by all experiment binaries.
+/// The usage string of `dhtm_experiments`.
 pub const USAGE: &str = "options:
   --jobs N             worker threads for sharding matrix cells (default: #cpus)
   --format FMT         table (default) | json | csv; json/csv adds a machine-readable dump
   --out PATH           write the json/csv dump to PATH instead of stdout
-  --experiment NAME    (suite runner only) experiment to run, or 'all'
+  --experiment NAME    experiment to run, or 'all' (default)
   --crash-points N     (recovery experiment) stratified crash points per cell (default 8)
   --crash-at CYCLE     (recovery experiment) add a crash at the given cycle; repeatable
-  --spec PATH...       (suite runner only) run scenario spec files (.toml/.json) instead
-                       of a catalogue experiment; globs expand naturally
+  --spec PATH...       run scenario spec files (.toml) instead of a catalogue
+                       experiment; globs expand naturally
   --trace PATH         write an NDJSON event trace (schema dhtm-trace-v1) to PATH
   --profile            print an end-of-run component-stat profile table
   --help               print this help";
@@ -116,7 +115,7 @@ impl HarnessOpts {
                     );
                 }
                 "--spec" => {
-                    // Greedy: `--spec a.toml b.toml c.json` (a shell glob
+                    // Greedy: `--spec a.toml b.toml c.toml` (a shell glob
                     // expansion) loads every listed file. Any dash-prefixed
                     // argument ends the list — short flags like `-h` are
                     // flags, not spec paths.

@@ -1,8 +1,9 @@
 #![forbid(unsafe_code)]
 //! # dhtm-harness
 //!
-//! The declarative experiment-matrix runner behind every figure/table
-//! reproduction binary and scaling study in this repository.
+//! The declarative experiment-matrix runner behind the `dhtm_experiments`
+//! CLI: every figure/table reproduction and scaling study in this
+//! repository runs through it.
 //!
 //! An experiment is a [`matrix::Matrix`]: the cross product of
 //!
@@ -10,26 +11,28 @@
 //!   through the engine registry: the paper's designs, the built-in DHTM
 //!   variants ("dhtm-instant", ...) and any out-of-tree engine registered
 //!   via `dhtm_baselines::registry::register_global`,
-//! * **workloads** — the six micro-benchmarks, TATP and TPC-C, by name,
+//! * **workloads** — the six micro-benchmarks, TATP and TPC-C, by name
+//!   ([`dhtm_workloads::NAMES`]),
 //! * **core counts** — 1..16 cores (the paper evaluates 8),
 //! * **configs** — named [`SystemConfig`] variants (Table III baseline,
 //!   the small test machine, log-buffer and bandwidth sweeps, ...).
 //!
 //! Every cell carries a complete, serializable
 //! [`dhtm_scenario::SimSpec`]; [`runner::run_matrix`] expands the matrix
-//! into cells, shards the independent spec runs across an `std::thread`
-//! worker pool (`--jobs N`) and collects one [`runner::Row`] per cell in
-//! deterministic matrix order. Every cell is seeded from a content hash of its workload /
-//! core-count coordinates — *not* from the engine or config, so all designs
-//! and config-sweep points in a group execute the same transaction stream,
-//! and *not* from the worker that happens to run it, so results are
-//! bit-identical for any worker count (enforced by the
-//! `parallel_equivalence` property test).
+//! into cells, shards the independent spec runs across the workspace's one
+//! worker pool ([`dhtm_scenario::par_map`], `--jobs N`) and collects one
+//! [`runner::Row`] per cell in deterministic matrix order. Every cell is
+//! seeded from a content hash of its workload / core-count coordinates —
+//! *not* from the engine or config, so all designs and config-sweep points
+//! in a group execute the same transaction stream, and *not* from the
+//! worker that happens to run it, so results are bit-identical for any
+//! worker count (enforced by the `parallel_equivalence` property test).
 //!
 //! [`report`] renders collected rows as JSON, CSV or the normalised-to-SO
 //! tables the paper reports; [`experiments`] holds the definition of each
 //! figure/table plus a beyond-the-paper core-count scaling sweep; the
-//! `dhtm_experiments` binary runs any or all of them from one CLI.
+//! `dhtm_experiments` binary runs any or all of them, or spec files, from
+//! one CLI.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -40,21 +43,16 @@ pub mod matrix;
 pub mod report;
 pub mod runner;
 
-use dhtm_scenario::{ResolvedSpec, SpecLimits};
-use dhtm_sim::driver::SimulationResult;
-use dhtm_sim::workload::Workload;
 use dhtm_types::config::{BaseConfig, SystemConfig};
-use dhtm_types::policy::DesignKind;
-pub use dhtm_workloads::WorkloadError;
 
 /// Seed used by all experiments (results are deterministic given the seed).
 pub const EXPERIMENT_SEED: u64 = dhtm_scenario::DEFAULT_SEED;
 
 /// True when the `DHTM_BENCH_QUICK` environment variable is set (to anything
 /// but `0`): experiments then run on [`SystemConfig::small_test`] with
-/// sharply reduced commit targets so that every figure/table binary finishes
-/// in seconds. The bin smoke tests and the CI harness job use this; real
-/// reproductions must leave it unset.
+/// sharply reduced commit targets so that every experiment finishes in
+/// seconds. The experiment smoke tests and the CI harness job use this;
+/// real reproductions must leave it unset.
 pub fn quick_mode() -> bool {
     std::env::var_os("DHTM_BENCH_QUICK").is_some_and(|v| v != "0")
 }
@@ -71,33 +69,10 @@ pub fn default_base() -> BaseConfig {
     }
 }
 
-/// The machine configuration every experiment binary should simulate: the
-/// resolved form of [`default_base`].
+/// The machine configuration every experiment simulates: the resolved form
+/// of [`default_base`].
 pub fn experiment_config() -> SystemConfig {
     default_base().resolve()
-}
-
-/// The six micro-benchmark names in the paper's order.
-pub const MICRO_NAMES: [&str; 6] = ["queue", "hash", "sdg", "sps", "btree", "rbtree"];
-
-/// All eight workload names: the six micro-benchmarks plus TATP and TPC-C.
-pub const ALL_WORKLOADS: [&str; 8] = [
-    "queue", "hash", "sdg", "sps", "btree", "rbtree", "tatp", "tpcc",
-];
-
-/// Builds a workload by name ("queue".."rbtree", "tatp", "tpcc").
-///
-/// Unknown names — a typo in a CLI flag or an ad-hoc spec — used to abort
-/// the whole matrix with a panic; they now come back as a
-/// [`WorkloadError`] whose message lists [`ALL_WORKLOADS`], mirroring what
-/// `RegistryError::UnknownEngine` does for engine ids.
-///
-/// # Errors
-///
-/// Returns [`WorkloadError::Unknown`] if the name is not one of
-/// [`ALL_WORKLOADS`].
-pub fn workload_by_name(name: &str, seed: u64) -> Result<Box<dyn Workload>, WorkloadError> {
-    dhtm_workloads::try_by_name(name, seed)
 }
 
 /// Commit targets appropriate for each workload class (OLTP transactions are
@@ -113,115 +88,5 @@ pub fn default_commits_for(workload: &str) -> u64 {
         (base / 20).max(3)
     } else {
         base
-    }
-}
-
-/// Runs one (design, workload) pair on a fresh machine and returns the
-/// simulation result. Compatibility entry point predating the matrix
-/// runner; new code should build a [`matrix::Matrix`] (or a
-/// [`dhtm_scenario::SimSpec`]) instead. The historical behaviour — the raw
-/// [`EXPERIMENT_SEED`] as the workload seed, no per-cell derivation — is
-/// preserved.
-pub fn run_pair(
-    design: DesignKind,
-    workload_name: &str,
-    cfg: &SystemConfig,
-    commits: u64,
-) -> SimulationResult {
-    ResolvedSpec::from_parts(
-        &design.into(),
-        workload_name,
-        cfg.clone(),
-        SpecLimits {
-            target_commits: commits,
-            ..SpecLimits::default()
-        },
-        EXPERIMENT_SEED,
-    )
-    .run()
-}
-
-/// Runs `designs` on `workload_name` and returns `(design, result)` pairs.
-pub fn run_designs(
-    designs: &[DesignKind],
-    workload_name: &str,
-    cfg: &SystemConfig,
-) -> Vec<(DesignKind, SimulationResult)> {
-    let commits = default_commits_for(workload_name);
-    designs
-        .iter()
-        .map(|&d| (d, run_pair(d, workload_name, cfg, commits)))
-        .collect()
-}
-
-/// Throughput of `design` normalised to the SO result in the same set.
-pub fn normalised_throughput(
-    results: &[(DesignKind, SimulationResult)],
-    design: DesignKind,
-) -> f64 {
-    let so = results
-        .iter()
-        .find(|(d, _)| *d == DesignKind::SoftwareOnly)
-        .map(|(_, r)| r.throughput())
-        .unwrap_or(1.0);
-    let target = results
-        .iter()
-        .find(|(d, _)| *d == design)
-        .map(|(_, r)| r.throughput())
-        .unwrap_or(0.0);
-    if so > 0.0 {
-        target / so
-    } else {
-        0.0
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn workloads_resolve_by_name() {
-        for name in ALL_WORKLOADS {
-            assert_eq!(workload_by_name(name, 1).unwrap().name(), name);
-        }
-    }
-
-    #[test]
-    fn unknown_workload_is_an_error_listing_the_catalogue() {
-        let Err(err) = workload_by_name("quene", 1) else {
-            panic!("'quene' must not resolve");
-        };
-        let msg = err.to_string();
-        assert!(msg.contains("'quene'"), "{msg}");
-        for name in ALL_WORKLOADS {
-            assert!(msg.contains(name), "{msg} should list {name}");
-        }
-    }
-
-    #[test]
-    fn quick_pair_run_produces_commits() {
-        let cfg = SystemConfig::small_test();
-        let res = run_pair(DesignKind::Dhtm, "hash", &cfg, 20);
-        assert_eq!(res.stats.committed, 20);
-        assert!(res.throughput() > 0.0);
-    }
-
-    #[test]
-    fn normalisation_is_relative_to_so() {
-        let cfg = SystemConfig::small_test();
-        let results = vec![
-            (
-                DesignKind::SoftwareOnly,
-                run_pair(DesignKind::SoftwareOnly, "hash", &cfg, 10),
-            ),
-            (
-                DesignKind::Dhtm,
-                run_pair(DesignKind::Dhtm, "hash", &cfg, 10),
-            ),
-        ];
-        let so_norm = normalised_throughput(&results, DesignKind::SoftwareOnly);
-        assert!((so_norm - 1.0).abs() < 1e-9);
-        assert!(normalised_throughput(&results, DesignKind::Dhtm) > 0.0);
     }
 }

@@ -11,7 +11,7 @@ use crate::{default_base, default_commits_for, quick_mode};
 
 /// A named machine configuration — one point on the matrix's config axis,
 /// expressed as a serializable base + overlay pair so every cell's spec
-/// round-trips through TOML/JSON.
+/// round-trips through TOML.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConfigVariant {
     /// Short name used in tables and result rows ("default", "logbuf16",
@@ -232,14 +232,7 @@ impl Matrix {
                             },
                             seed: self.seed,
                         };
-                        cells.push(Cell {
-                            index: cells.len(),
-                            cores,
-                            config_name: variant.name.clone(),
-                            config: spec.config(),
-                            seed: spec.derived_seed(),
-                            spec,
-                        });
+                        cells.push(Cell::new(cells.len(), variant.name.clone(), spec));
                     }
                 }
             }
@@ -276,6 +269,20 @@ pub struct Cell {
 }
 
 impl Cell {
+    /// The cell at `index` that runs `spec`, reported under `config_name`;
+    /// its core count, configuration and seed are derived from the spec.
+    pub(crate) fn new(index: usize, config_name: String, spec: SimSpec) -> Cell {
+        let config = spec.config();
+        Cell {
+            index,
+            cores: config.num_cores,
+            config_name,
+            config,
+            seed: spec.derived_seed(),
+            spec,
+        }
+    }
+
     /// The cell's engine id.
     pub fn engine(&self) -> &EngineId {
         &self.spec.engine

@@ -1,11 +1,10 @@
-//! The worker pool: shards the independent cells of a matrix across
-//! `std::thread` workers and collects results in deterministic matrix order.
+//! The cell runner: runs matrix cells (plain or fully instrumented) on the
+//! workspace's worker pool ([`par_map`]) and collects one [`Row`] per cell
+//! in deterministic matrix order.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::thread;
 
-use dhtm_scenario::TraceRecorder;
+use dhtm_scenario::{par_map, TraceRecorder};
 use dhtm_types::stats::RunStats;
 
 use crate::matrix::{Cell, Matrix};
@@ -36,6 +35,22 @@ pub struct Row {
 }
 
 impl Row {
+    /// The row of `cell` with the given run results; the experiment name is
+    /// left for the caller to fill in.
+    fn of_cell(cell: &Cell, stats: RunStats, probes: Vec<(String, u64)>) -> Row {
+        Row {
+            experiment: String::new(),
+            engine: cell.engine_label(),
+            workload: cell.workload().to_string(),
+            cores: cell.cores,
+            config: cell.config_name.clone(),
+            seed: cell.seed,
+            target_commits: cell.commits(),
+            stats,
+            probes,
+        }
+    }
+
     /// Committed transactions per million cycles.
     pub fn throughput(&self) -> f64 {
         self.stats.throughput_per_mcycle()
@@ -70,17 +85,7 @@ pub fn run_cell(cell: &Cell) -> Row {
         .spec
         .run()
         .unwrap_or_else(|e| panic!("matrix cell {}: {e}", cell.index));
-    Row {
-        experiment: String::new(),
-        engine: cell.engine_label(),
-        workload: cell.workload().to_string(),
-        cores: cell.cores,
-        config: cell.config_name.clone(),
-        seed: cell.seed,
-        target_commits: cell.commits(),
-        stats: result.stats,
-        probes: Vec::new(),
-    }
+    Row::of_cell(cell, result.stats, Vec::new())
 }
 
 /// A fully instrumented cell result: the row (probes included) plus the
@@ -114,18 +119,10 @@ pub fn run_cell_traced(cell: &Cell, label_prefix: &str) -> TracedRow {
     let mut recorder = TraceRecorder::new(label);
     let (result, registry) = resolved.run_probed(Some(&mut recorder));
     recorder.finish(&result.stats, Some(&registry));
-    let row = Row {
-        experiment: String::new(),
-        engine: cell.engine_label(),
-        workload: cell.workload().to_string(),
-        cores: cell.cores,
-        config: cell.config_name.clone(),
-        seed: cell.seed,
-        target_commits: cell.commits(),
-        stats: result.stats,
-        probes: registry.flatten(),
-    };
-    (row, recorder.lines())
+    (
+        Row::of_cell(cell, result.stats, registry.flatten()),
+        recorder.lines(),
+    )
 }
 
 /// Expands `matrix` into cells and runs them on `jobs` workers.
@@ -139,80 +136,18 @@ pub fn run_matrix(matrix: &Matrix, jobs: usize) -> Vec<Row> {
 
 /// Runs pre-expanded cells on `jobs` workers (1 = serial on this thread).
 pub fn run_cells(cells: &[Cell], jobs: usize) -> Vec<Row> {
-    let jobs = jobs.clamp(1, cells.len().max(1));
-    if jobs == 1 {
-        return cells.iter().map(run_cell).collect();
-    }
-
-    // Work-stealing by atomic cursor: workers pull the next unclaimed cell
-    // index; each result lands in its cell's dedicated slot, so collection
-    // order is matrix order no matter which worker ran what.
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Row>>> = cells.iter().map(|_| Mutex::new(None)).collect();
-    thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(cell) = cells.get(i) else {
-                    break;
-                };
-                let row = run_cell(cell);
-                *slots[i].lock().expect("result slot poisoned") = Some(row);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot poisoned")
-                .expect("every cell ran")
-        })
-        .collect()
+    par_map(cells, jobs, run_cell)
 }
 
-/// Runs `matrix` fully instrumented on `jobs` workers: every cell is
-/// executed through [`run_cell_traced`], so each row carries its flattened
-/// probe registry and each cell contributes its NDJSON trace lines.
+/// Runs pre-expanded cells fully instrumented on `jobs` workers: every cell
+/// is executed through [`run_cell_traced`], so each row carries its
+/// flattened probe registry and each cell contributes its NDJSON trace
+/// lines.
 ///
-/// Rows and trace blocks come back in matrix-enumeration order regardless
-/// of `jobs`, so the concatenated trace stream is deterministic.
-pub fn run_matrix_traced(matrix: &Matrix, jobs: usize, label_prefix: &str) -> Vec<TracedRow> {
-    run_cells_traced(&matrix.cells(), jobs, label_prefix)
-}
-
-/// Runs pre-expanded cells instrumented on `jobs` workers (the traced
-/// counterpart of [`run_cells`]).
+/// Rows and trace blocks come back in cell order regardless of `jobs`, so
+/// the concatenated trace stream is deterministic.
 pub fn run_cells_traced(cells: &[Cell], jobs: usize, label_prefix: &str) -> Vec<TracedRow> {
-    let jobs = jobs.clamp(1, cells.len().max(1));
-    if jobs == 1 {
-        return cells
-            .iter()
-            .map(|cell| run_cell_traced(cell, label_prefix))
-            .collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<TracedRow>>> = cells.iter().map(|_| Mutex::new(None)).collect();
-    thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(cell) = cells.get(i) else {
-                    break;
-                };
-                let traced = run_cell_traced(cell, label_prefix);
-                *slots[i].lock().expect("result slot poisoned") = Some(traced);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot poisoned")
-                .expect("every cell ran")
-        })
-        .collect()
+    par_map(cells, jobs, |cell| run_cell_traced(cell, label_prefix))
 }
 
 /// A sensible default worker count: the machine's available parallelism.
@@ -271,7 +206,7 @@ mod tests {
     fn traced_matrix_matches_plain_stats_and_collects_probes() {
         let m = tiny_matrix();
         let plain = run_matrix(&m, 1);
-        let traced = run_matrix_traced(&m, 1, "test");
+        let traced = run_cells_traced(&m.cells(), 1, "test");
         assert_eq!(plain.len(), traced.len());
         for (p, (t, lines)) in plain.iter().zip(&traced) {
             assert_eq!(p.stats, t.stats, "instrumentation must not perturb runs");
@@ -283,6 +218,6 @@ mod tests {
         let (row, lines) = &traced[0];
         assert!(lines[0].contains(&format!("test/{}/{}", row.engine, row.workload)));
         // Parallel traced runs are bit-identical to serial ones.
-        assert_eq!(run_matrix_traced(&m, 4, "test"), traced);
+        assert_eq!(run_cells_traced(&m.cells(), 4, "test"), traced);
     }
 }

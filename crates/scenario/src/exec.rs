@@ -23,7 +23,7 @@ use crate::spec::{SimSpec, SpecLimits};
 /// A spec resolved against the engine registry: directly runnable, no
 /// further lookups or derivations. Unlike [`SimSpec`] it can also carry a
 /// raw (non-overlay) configuration and an explicit workload seed, which is
-/// what the crash subsystem and legacy harness entry points need.
+/// what the crash subsystem needs.
 #[derive(Debug, Clone)]
 pub struct ResolvedSpec {
     /// The engine factory (cheap clone of the registry entry).
@@ -55,8 +55,8 @@ impl ResolvedSpec {
 
     /// Builds a runnable form directly from raw parts, bypassing the
     /// overlay/seed derivation — for callers that already hold a resolved
-    /// configuration and an exact workload seed (the crash matrix, the
-    /// legacy `run_pair` path).
+    /// configuration and an exact workload seed (the crash matrix, and
+    /// tests pinned to a raw seed).
     ///
     /// # Panics
     ///
@@ -105,23 +105,11 @@ impl ResolvedSpec {
         (machine, engine, workload, limits)
     }
 
-    /// Runs the spec to completion on a fresh machine.
+    /// Runs the spec to completion on a fresh machine (no observer, no
+    /// probes; see [`ResolvedSpec::run_probed`] for both).
     pub fn run(&self) -> SimulationResult {
         let (mut machine, mut engine, mut workload, limits) = self.components();
         Simulator::new().run(&mut machine, &mut engine, workload.as_mut(), &limits)
-    }
-
-    /// Runs the spec with every semantic event streamed to `observer`.
-    /// Bit-identical to [`ResolvedSpec::run`].
-    pub fn run_with_observer(&self, observer: &mut dyn SimObserver) -> SimulationResult {
-        let (mut machine, mut engine, mut workload, limits) = self.components();
-        Simulator::new().run_with_observer(
-            &mut machine,
-            &mut engine,
-            workload.as_mut(),
-            &limits,
-            observer,
-        )
     }
 
     /// The engine's table label (from the registry metadata).
@@ -129,9 +117,11 @@ impl ResolvedSpec {
         &self.factory.info().label
     }
 
-    /// Runs the spec (optionally observed) and collects the component-stat
-    /// registry afterwards: per-core L1s/log buffers, LLC, directory,
-    /// persistence domain, memory channel and engine internals.
+    /// Runs the spec, streaming every semantic event to `observer` when one
+    /// is given, and collects the component-stat registry afterwards:
+    /// per-core L1s/log buffers, LLC, directory, persistence domain, memory
+    /// channel and engine internals. This is the observed form of
+    /// [`ResolvedSpec::run`].
     ///
     /// The probes are read off the machine and engine only *after* the run
     /// finishes — nothing is sampled on the hot path — so a probed run is

@@ -16,13 +16,15 @@
 //!   [`dhtm_types::config::ConfigOverlay`],
 //! * run **limits** (commit target, cycle cap) and a base **seed**.
 //!
-//! Specs round-trip through TOML and JSON ([`mod@format`]), carry a stable
+//! Specs round-trip through canonical TOML ([`mod@format`]), carry a stable
 //! [`spec::SimSpec::content_hash`] identity and reproduce the experiment
 //! harness's per-cell seed derivation exactly
 //! ([`spec::SimSpec::derived_seed`]), so a spec file is a complete,
 //! reproducible description of a run. [`exec`] resolves a spec against the
 //! engine registry and executes it; [`metrics::MetricsSink`] is a streaming
-//! [`dhtm_sim::observer::SimObserver`] over any spec run.
+//! [`dhtm_sim::observer::SimObserver`] over any spec run. [`par_map`] is
+//! the worker pool every batch of runs (matrix cells, spec files, crash
+//! cells) is sharded across.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -30,12 +32,14 @@
 pub mod exec;
 pub mod format;
 pub mod metrics;
+pub mod pool;
 pub mod result;
 pub mod spec;
 pub mod trace;
 
 pub use exec::ResolvedSpec;
 pub use metrics::MetricsSink;
+pub use pool::par_map;
 pub use result::{RunRecord, RESULT_SCHEMA};
 pub use spec::{SimSpec, SimSpecBuilder, SpecError, SpecLimits};
 pub use trace::TraceRecorder;

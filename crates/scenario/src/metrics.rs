@@ -170,7 +170,7 @@ mod tests {
             .build()
             .unwrap();
         let mut sink = MetricsSink::new();
-        let result = spec.run_with_observer(&mut sink).unwrap();
+        let result = spec.resolve().unwrap().run_probed(Some(&mut sink)).0;
 
         assert_eq!(sink.commits, result.stats.committed);
         assert_eq!(sink.total_aborts(), result.stats.total_aborts());
@@ -192,7 +192,7 @@ mod tests {
             .build()
             .unwrap();
         let mut sink = MetricsSink::new();
-        spec.run_with_observer(&mut sink).unwrap();
+        spec.resolve().unwrap().run_probed(Some(&mut sink));
         let window = 1_000;
         let series = sink.throughput_series(window);
         assert_eq!(series.iter().sum::<u64>(), sink.commits);
@@ -220,10 +220,10 @@ mod tests {
             .build()
             .unwrap();
         let mut exact = MetricsSink::new();
-        spec.run_with_observer(&mut exact).unwrap();
+        spec.resolve().unwrap().run_probed(Some(&mut exact));
         let stride = 8;
         let mut sampled = MetricsSink::with_commit_stride(stride);
-        spec.run_with_observer(&mut sampled).unwrap();
+        spec.resolve().unwrap().run_probed(Some(&mut sampled));
 
         // Scalar tallies stay exact.
         assert_eq!(sampled.commits, exact.commits);
@@ -260,7 +260,7 @@ mod tests {
             .unwrap();
         let plain = spec.run().unwrap().stats;
         let mut sink = MetricsSink::new();
-        let observed = spec.run_with_observer(&mut sink).unwrap().stats;
+        let observed = spec.resolve().unwrap().run_probed(Some(&mut sink)).0.stats;
         assert_eq!(plain, observed);
     }
 

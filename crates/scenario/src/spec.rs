@@ -5,7 +5,6 @@ use std::str::FromStr;
 
 use dhtm_baselines::registry::{self, EngineId};
 use dhtm_sim::driver::SimulationResult;
-use dhtm_sim::observer::SimObserver;
 use dhtm_types::config::{BaseConfig, ConfigOverlay, SystemConfig};
 use dhtm_types::seed::{content_hash64, stable_cell_seed};
 
@@ -38,9 +37,8 @@ impl Default for SpecLimits {
 /// A complete, serializable description of one simulation run: *which
 /// engine* (by registry id), *which workload* (by name), *which machine*
 /// (named base + sparse overlay), *how long* (limits) and *which stream*
-/// (base seed). The single typed entry point the harness matrix, the crash
-/// matrix, the bench bins and the spec-file CLI all construct runs
-/// through.
+/// (base seed). The single typed entry point the harness matrix and the
+/// spec-file CLI construct runs through.
 ///
 /// ```
 /// use dhtm_scenario::SimSpec;
@@ -163,19 +161,6 @@ impl SimSpec {
         Ok(self.resolve()?.run())
     }
 
-    /// Like [`SimSpec::run`], streaming every semantic event of the run to
-    /// `observer` (see [`dhtm_sim::observer::SimObserver`]).
-    ///
-    /// # Errors
-    ///
-    /// Fails if the spec does not validate.
-    pub fn run_with_observer(
-        &self,
-        observer: &mut dyn SimObserver,
-    ) -> Result<SimulationResult, SpecError> {
-        Ok(self.resolve()?.run_with_observer(observer))
-    }
-
     /// Serialises the spec to its canonical TOML form.
     pub fn to_toml(&self) -> String {
         format::to_toml(self)
@@ -190,34 +175,19 @@ impl SimSpec {
         format::from_toml(input)
     }
 
-    /// Serialises the spec to its canonical JSON form.
-    pub fn to_json(&self) -> String {
-        format::to_json(self)
-    }
-
-    /// Parses a spec from JSON.
+    /// Loads a spec from a `.toml` file.
     ///
     /// # Errors
     ///
-    /// Returns [`SpecError::Parse`] describing the syntax problem.
-    pub fn from_json(input: &str) -> Result<Self, SpecError> {
-        format::from_json(input)
-    }
-
-    /// Loads a spec from a `.toml` or `.json` file (decided by extension).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpecError::Parse`] for unreadable files, unknown
-    /// extensions or malformed content.
+    /// Returns [`SpecError::Parse`] for unreadable files, other extensions
+    /// or malformed content.
     pub fn load(path: &std::path::Path) -> Result<Self, SpecError> {
         let content = std::fs::read_to_string(path)
             .map_err(|e| SpecError::Parse(format!("cannot read {}: {e}", path.display())))?;
         match path.extension().and_then(|e| e.to_str()) {
             Some("toml") => Self::from_toml(&content),
-            Some("json") => Self::from_json(&content),
             other => Err(SpecError::Parse(format!(
-                "unsupported spec extension {other:?} for {} (toml|json)",
+                "unsupported spec extension {other:?} for {} (toml)",
                 path.display()
             ))),
         }
@@ -225,8 +195,7 @@ impl SimSpec {
 }
 
 /// Builder with validation at the end — the ergonomic way to construct a
-/// [`SimSpec`] in code (files go through [`SimSpec::from_toml`] /
-/// [`SimSpec::from_json`]).
+/// [`SimSpec`] in code (files go through [`SimSpec::from_toml`]).
 #[derive(Debug, Clone)]
 pub struct SimSpecBuilder {
     spec: SimSpec,
@@ -291,13 +260,13 @@ pub enum SpecError {
     /// The engine id is not registered (register it via
     /// `dhtm_baselines::registry::register_global` first).
     UnknownEngine(EngineId),
-    /// The workload name is not known to `dhtm_workloads::by_name`.
+    /// The workload name is not one of `dhtm_workloads::NAMES`.
     UnknownWorkload(String),
     /// The resolved configuration failed `SystemConfig::validate`.
     InvalidConfig(String),
     /// A limit is out of range.
     InvalidLimits(String),
-    /// The TOML/JSON input (or file) could not be parsed.
+    /// The TOML input (or file) could not be parsed.
     Parse(String),
 }
 
@@ -349,6 +318,25 @@ mod tests {
         assert_eq!(result.stats.committed, 8);
         assert_eq!(result.design, DesignKind::Dhtm);
         assert_eq!(result.workload, "hash");
+    }
+
+    #[test]
+    fn load_reads_toml_files_only() {
+        let dir = std::env::temp_dir().join(format!("dhtm_spec_load_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let spec = SimSpec::builder(DesignKind::Dhtm, "hash")
+            .base(BaseConfig::Small)
+            .build_unchecked();
+        let toml = dir.join("spec.toml");
+        std::fs::write(&toml, spec.to_toml()).unwrap();
+        assert_eq!(SimSpec::load(&toml).unwrap(), spec);
+        let json = dir.join("spec.json");
+        std::fs::write(&json, "{\"engine\": \"dhtm\", \"workload\": \"hash\"}").unwrap();
+        assert!(matches!(
+            SimSpec::load(&json),
+            Err(SpecError::Parse(msg)) if msg.contains("unsupported spec extension")
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

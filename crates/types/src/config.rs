@@ -7,7 +7,7 @@
 //! | L1 access latency | 3 cycles |
 //! | L2 (LLC) | 1 MB × 8 tiles, 64 B lines, 16-way |
 //! | L2 access latency | 30 cycles |
-//! | MSHRs | 32 |
+//! | MSHRs | 32 (not modelled) |
 //! | NVM access latency | 360 (write) / 240 (read) cycles |
 //! | Peak memory bandwidth | 5.3 GB/s |
 //!
@@ -221,8 +221,6 @@ pub struct SystemConfig {
     pub llc: CacheGeometry,
     /// Number of LLC tiles/banks (8 in the paper).
     pub llc_tiles: usize,
-    /// Number of MSHRs per core.
-    pub mshrs: usize,
     /// Access latencies.
     pub latency: LatencyConfig,
     /// Software operation cost model.
@@ -257,7 +255,6 @@ impl SystemConfig {
             l1: CacheGeometry::isca18_l1(),
             llc: CacheGeometry::isca18_llc(),
             llc_tiles: 8,
-            mshrs: 32,
             latency: LatencyConfig::isca18_baseline(),
             software: SoftwareCostConfig::isca18_baseline(),
             mem_bandwidth_bytes_per_sec: 5.3e9,
@@ -375,7 +372,7 @@ impl Default for SystemConfig {
 /// A *named* base machine configuration — the serializable anchor a
 /// scenario spec builds from. Every experiment configuration in this
 /// repository is one of these bases plus a [`ConfigOverlay`], which is what
-/// lets a `SimSpec` round-trip through TOML/JSON without serialising every
+/// lets a `SimSpec` round-trip through TOML without serialising every
 /// field of [`SystemConfig`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum BaseConfig {
@@ -444,8 +441,6 @@ pub struct ConfigOverlay {
     pub conflict_policy: Option<ConflictPolicy>,
     /// Override for [`SystemConfig::max_htm_retries`].
     pub max_htm_retries: Option<usize>,
-    /// Override for [`SystemConfig::mshrs`].
-    pub mshrs: Option<usize>,
     /// Override for [`SystemConfig::read_signature_bits`].
     pub read_signature_bits: Option<usize>,
     /// Override for the LLC capacity in bytes (the LLC keeps the base's
@@ -484,9 +479,6 @@ impl ConfigOverlay {
         }
         if let Some(n) = self.max_htm_retries {
             cfg.max_htm_retries = n;
-        }
-        if let Some(n) = self.mshrs {
-            cfg.mshrs = n;
         }
         if let Some(n) = self.read_signature_bits {
             cfg.read_signature_bits = n;
@@ -542,7 +534,6 @@ mod tests {
         assert_eq!(cfg.latency.llc_hit, 30);
         assert_eq!(cfg.latency.nvm_read, 240);
         assert_eq!(cfg.latency.nvm_write, 360);
-        assert_eq!(cfg.mshrs, 32);
         assert_eq!(cfg.log_buffer_entries, 64);
         assert!(cfg.validate().is_ok());
     }
@@ -670,7 +661,6 @@ mod tests {
             bandwidth_multiplier: Some(2.0),
             conflict_policy: Some(ConflictPolicy::RequesterWins),
             max_htm_retries: Some(3),
-            mshrs: Some(8),
             read_signature_bits: Some(512),
             llc_capacity_bytes: Some(16 * 1024 * 1024),
             llc_ways: Some(8),
@@ -682,7 +672,6 @@ mod tests {
         assert_eq!(cfg.bandwidth_multiplier, 2.0);
         assert_eq!(cfg.conflict_policy, ConflictPolicy::RequesterWins);
         assert_eq!(cfg.max_htm_retries, 3);
-        assert_eq!(cfg.mshrs, 8);
         assert_eq!(cfg.read_signature_bits, 512);
         assert_eq!(cfg.llc.capacity_bytes, 16 * 1024 * 1024);
         assert_eq!(cfg.llc.ways, 8);

@@ -37,21 +37,28 @@ pub use trace::TraceBuilder;
 
 use dhtm_sim::workload::Workload;
 
-/// The six micro-benchmarks in the order the paper's figures present them.
-pub fn micro_suite(seed: u64) -> Vec<Box<dyn Workload>> {
-    vec![
-        Box::new(QueueWorkload::new(seed)),
-        Box::new(HashWorkload::new(seed)),
-        Box::new(SdgWorkload::new(seed)),
-        Box::new(SpsWorkload::new(seed)),
-        Box::new(BTreeWorkload::new(seed)),
-        Box::new(RbTreeWorkload::new(seed)),
-    ]
-}
+/// All eight workload names, in the paper's order: the six
+/// micro-benchmarks, then TATP and TPC-C.
+pub const NAMES: [&str; 8] = [
+    "queue", "hash", "sdg", "sps", "btree", "rbtree", "tatp", "tpcc",
+];
 
-/// Builds a micro-benchmark by name ("queue", "hash", "sdg", "sps", "btree",
-/// "rbtree").
-pub fn micro_by_name(name: &str, seed: u64) -> Option<Box<dyn Workload>> {
+/// The six micro-benchmark names in the paper's order: the leading six of
+/// [`NAMES`].
+pub const MICRO_NAMES: [&str; 6] = match NAMES.first_chunk() {
+    Some(micro) => *micro,
+    None => unreachable!(),
+};
+
+/// Builds any of the paper's eight workloads by name. The error names the
+/// rejected workload and lists everything that would have resolved, in the
+/// spirit of `RegistryError::UnknownEngine` on the engine side, so a typo
+/// in a CLI flag or spec file is self-correcting.
+///
+/// # Errors
+///
+/// Returns [`WorkloadError::Unknown`] when `name` is not one of [`NAMES`].
+pub fn try_by_name(name: &str, seed: u64) -> Result<Box<dyn Workload>, WorkloadError> {
     let kind = match name {
         "queue" => MicroKind::Queue,
         "hash" => MicroKind::Hash,
@@ -59,43 +66,15 @@ pub fn micro_by_name(name: &str, seed: u64) -> Option<Box<dyn Workload>> {
         "sps" => MicroKind::Sps,
         "btree" => MicroKind::BTree,
         "rbtree" => MicroKind::RbTree,
-        _ => return None,
+        "tatp" => return Ok(Box::new(TatpWorkload::new(seed))),
+        "tpcc" => return Ok(Box::new(TpccWorkload::new(seed))),
+        _ => return Err(WorkloadError::Unknown(name.to_string())),
     };
-    Some(micro::build(kind, seed))
+    Ok(micro::build(kind, seed))
 }
 
-/// Builds any of the paper's eight workloads by name: the six
-/// micro-benchmarks plus `"tatp"` and `"tpcc"`. Returns `None` for unknown
-/// names.
-pub fn by_name(name: &str, seed: u64) -> Option<Box<dyn Workload>> {
-    match name {
-        "tatp" => Some(Box::new(TatpWorkload::new(seed))),
-        "tpcc" => Some(Box::new(TpccWorkload::new(seed))),
-        other => micro_by_name(other, seed),
-    }
-}
-
-/// Builds any of the paper's eight workloads by name, with a diagnosable
-/// error instead of [`by_name`]'s `None`: the error names the rejected
-/// workload and lists everything that would have resolved, in the spirit of
-/// `RegistryError::UnknownEngine` on the engine side. Use this anywhere the
-/// name comes from user input (CLI flags, spec files) rather than a
-/// hard-coded catalogue.
-///
-/// # Errors
-///
-/// Returns [`WorkloadError::Unknown`] when `name` is not one of [`NAMES`].
-pub fn try_by_name(name: &str, seed: u64) -> Result<Box<dyn Workload>, WorkloadError> {
-    by_name(name, seed).ok_or_else(|| WorkloadError::Unknown(name.to_string()))
-}
-
-/// All eight workload names, in the paper's order.
-pub const NAMES: [&str; 8] = [
-    "queue", "hash", "sdg", "sps", "btree", "rbtree", "tatp", "tpcc",
-];
-
-/// Whether `name` resolves via [`by_name`], without paying for workload
-/// construction (spec validation calls this per cell).
+/// Whether `name` resolves via [`try_by_name`], without paying for
+/// workload construction (spec validation calls this per cell).
 pub fn is_known(name: &str) -> bool {
     NAMES.contains(&name)
 }
@@ -132,13 +111,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn by_name_covers_all_eight_workloads() {
-        for name in [
-            "queue", "hash", "sdg", "sps", "btree", "rbtree", "tatp", "tpcc",
-        ] {
-            assert_eq!(by_name(name, 7).unwrap().name(), name);
+    fn every_name_resolves_to_the_workload_of_that_name() {
+        for name in NAMES {
+            assert!(is_known(name));
+            assert_eq!(try_by_name(name, 7).unwrap().name(), name);
         }
-        assert!(by_name("nope", 7).is_none());
+        assert!(!is_known("nope"));
+        assert_eq!(MICRO_NAMES, NAMES[..6]);
     }
 
     #[test]
@@ -153,23 +132,5 @@ mod tests {
         for name in NAMES {
             assert!(msg.contains(name), "{msg} should list {name}");
         }
-    }
-
-    #[test]
-    fn suite_has_six_benchmarks_with_paper_names() {
-        let suite = micro_suite(1);
-        let names: Vec<_> = suite.iter().map(|w| w.name()).collect();
-        assert_eq!(
-            names,
-            vec!["queue", "hash", "sdg", "sps", "btree", "rbtree"]
-        );
-    }
-
-    #[test]
-    fn lookup_by_name_matches_suite() {
-        for name in ["queue", "hash", "sdg", "sps", "btree", "rbtree"] {
-            assert_eq!(micro_by_name(name, 3).unwrap().name(), name);
-        }
-        assert!(micro_by_name("nope", 3).is_none());
     }
 }

@@ -4,31 +4,26 @@
 //! cargo run --release --example oltp_tatp
 //! ```
 
-use dhtm_baselines::build_engine;
-use dhtm_sim::driver::{RunLimits, Simulator};
-use dhtm_sim::machine::Machine;
-use dhtm_types::config::SystemConfig;
+use dhtm_scenario::SimSpec;
 use dhtm_types::policy::DesignKind;
-use dhtm_workloads::TatpWorkload;
+
+const COMMITS: u64 = 80;
 
 fn main() {
-    let cfg = SystemConfig::isca18_baseline();
-    let limits = RunLimits::quick().with_target_commits(80);
     let designs = [DesignKind::SoftwareOnly, DesignKind::Atom, DesignKind::Dhtm];
 
     let mut results = Vec::new();
     for design in designs {
-        let mut machine = Machine::new(cfg.clone());
-        let mut engine = build_engine(design, &cfg);
-        let mut workload = TatpWorkload::new(11);
-        let res = Simulator::new().run(&mut machine, &mut engine, &mut workload, &limits);
-        results.push((design, res));
+        // The default base is the paper's Table III machine.
+        let spec = SimSpec::builder(design, "tatp")
+            .commits(COMMITS)
+            .seed(11)
+            .build()
+            .expect("valid spec");
+        results.push((design, spec.run().expect("spec runs")));
     }
     let so = results[0].1.throughput();
-    println!(
-        "TATP, {} committed transactions per design",
-        limits.target_commits
-    );
+    println!("TATP, {COMMITS} committed transactions per design");
     println!(
         "{:<8} {:>12} {:>14} {:>16}",
         "design", "norm vs SO", "abort rate %", "mean write set"

@@ -28,7 +28,10 @@ fn main() {
 
     // 2. Run it with a streaming metrics sink attached.
     let mut sink = MetricsSink::new();
-    let result = spec.run_with_observer(&mut sink).expect("spec runs");
+    let (result, _probes) = spec
+        .resolve()
+        .expect("spec resolves")
+        .run_probed(Some(&mut sink));
     println!(
         "committed {} in {} cycles ({:.1} tx/Mcycle); streamed: {} begins, {} aborts, {} durable ticks",
         result.stats.committed,

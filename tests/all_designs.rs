@@ -2,30 +2,37 @@
 //! same machine configuration, commits the requested number of transactions,
 //! and the durable designs leave a recoverable persistent state.
 
-use dhtm_baselines::build_engine;
+use dhtm_scenario::{ResolvedSpec, SpecLimits};
 use dhtm_sim::driver::{RunLimits, Simulator};
 use dhtm_sim::machine::Machine;
 use dhtm_types::config::SystemConfig;
 use dhtm_types::policy::DesignKind;
-use dhtm_workloads::micro_by_name;
+use dhtm_workloads::MICRO_NAMES;
 
 fn run(
     design: DesignKind,
     workload: &str,
     commits: u64,
 ) -> (dhtm_sim::driver::SimulationResult, Machine) {
-    let cfg = SystemConfig::small_test();
-    let mut machine = Machine::new(cfg.clone());
-    let mut engine = build_engine(design, &cfg);
-    let mut wl = micro_by_name(workload, 5).unwrap();
-    let limits = RunLimits::quick().with_target_commits(commits);
+    let limits = SpecLimits {
+        target_commits: commits,
+        max_cycles: RunLimits::quick().max_cycles,
+    };
+    let resolved = ResolvedSpec::from_parts(
+        &design.into(),
+        workload,
+        SystemConfig::small_test(),
+        limits,
+        5,
+    );
+    let (mut machine, mut engine, mut wl, limits) = resolved.components();
     let res = Simulator::new().run(&mut machine, &mut engine, wl.as_mut(), &limits);
     (res, machine)
 }
 
 #[test]
 fn every_design_commits_on_every_micro_benchmark() {
-    for workload in ["queue", "hash", "sdg", "sps", "btree", "rbtree"] {
+    for workload in MICRO_NAMES {
         for design in DesignKind::ALL {
             let (res, _) = run(design, workload, 12);
             assert_eq!(

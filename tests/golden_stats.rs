@@ -6,10 +6,8 @@
 //! shifting every figure. Update the constants ONLY when a change to
 //! simulated behaviour is intended, and say so in the commit message.
 
-use dhtm_baselines::build_engine;
-use dhtm_harness::workload_by_name;
-use dhtm_sim::driver::{RunLimits, Simulator};
-use dhtm_sim::machine::Machine;
+use dhtm_scenario::{ResolvedSpec, SpecLimits};
+use dhtm_sim::driver::RunLimits;
 use dhtm_types::config::SystemConfig;
 use dhtm_types::policy::DesignKind;
 use dhtm_types::stats::RunStats;
@@ -18,15 +16,22 @@ const GOLDEN_WORKLOAD: &str = "hash";
 const GOLDEN_SEED: u64 = 0x15CA_2018;
 const GOLDEN_COMMITS: u64 = 30;
 
+/// One golden run: the raw [`GOLDEN_SEED`] as the workload seed (no
+/// per-cell derivation) under `RunLimits::quick`'s cycle cap.
 fn run_design(kind: DesignKind) -> RunStats {
-    let cfg = SystemConfig::small_test();
-    let mut machine = Machine::new(cfg.clone());
-    let mut engine = build_engine(kind, &cfg);
-    let mut workload = workload_by_name(GOLDEN_WORKLOAD, GOLDEN_SEED).expect("golden workload");
-    let limits = RunLimits::quick().with_target_commits(GOLDEN_COMMITS);
-    Simulator::new()
-        .run(&mut machine, &mut engine, workload.as_mut(), &limits)
-        .stats
+    let limits = SpecLimits {
+        target_commits: GOLDEN_COMMITS,
+        max_cycles: RunLimits::quick().max_cycles,
+    };
+    ResolvedSpec::from_parts(
+        &kind.into(),
+        GOLDEN_WORKLOAD,
+        SystemConfig::small_test(),
+        limits,
+        GOLDEN_SEED,
+    )
+    .run()
+    .stats
 }
 
 /// (design, committed, total_cycles, total_aborts)
