@@ -13,7 +13,7 @@ pub enum Tier {
     /// forever. Floats, unordered iteration and wall-clock/entropy sources
     /// are forbidden outside allowlisted reporting/config-boundary items.
     Deterministic,
-    /// Crates that face the wall clock (benches, the service, the worker
+    /// Crates that face the wall clock (the service, the worker
     /// pool, observability): exempt from the determinism rules but
     /// subject to the concurrency rules where a lock hierarchy is declared.
     WallClock,
@@ -108,7 +108,6 @@ impl Config {
                 wall("crates/scenario"),
                 wall("crates/service"),
                 wall("crates/harness"),
-                wall("crates/bench"),
                 wall("crates/analysis"),
                 // The umbrella crate and the vendored stand-ins only take
                 // the `#![forbid(unsafe_code)]` check (the stand-ins are
@@ -117,7 +116,6 @@ impl Config {
                 wall("."),
                 wall("vendor/rand"),
                 wall("vendor/proptest"),
-                wall("vendor/criterion"),
             ],
             allows: vec![
                 // --- Reporting getters: floats computed *from* the exact

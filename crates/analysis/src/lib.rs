@@ -17,7 +17,7 @@
 //!   wall-clock or entropy sources (`Instant`, `SystemTime`, `thread_rng`,
 //!   `RandomState`).
 //! * **Wall-clock tier** (`obs`, `scenario`, `service`, `harness`,
-//!   `bench`): exempt from the above, but the threaded crates gain a
+//!   `analysis`): exempt from the above, but the threaded crates gain a
 //!   declared lock hierarchy — nested `.lock()`/`.read()`/`.write()`
 //!   acquisitions must follow it, and no lock may be held across a
 //!   blocking send/receive/IO call.

@@ -3,23 +3,9 @@
 
 use std::fmt::Write as _;
 
-use crate::matrix::{CrashCellReport, NegativeControl};
+use dhtm_obs::json::JsonStr;
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+use crate::matrix::{CrashCellReport, NegativeControl};
 
 /// Serialises every per-point verdict as one JSON array (the CI artifact).
 pub fn verdicts_to_json(reports: &[CrashCellReport]) -> String {
@@ -34,15 +20,15 @@ pub fn verdicts_to_json(reports: &[CrashCellReport]) -> String {
             let o = &v.outcome;
             let _ = write!(
                 out,
-                "  {{\"design\": \"{}\", \"workload\": \"{}\", \"config\": \"{}\", \"seed\": {}, \
+                "  {{\"design\": {}, \"workload\": {}, \"config\": {}, \"seed\": {}, \
                  \"total_mutations\": {}, \"point\": {}, \"kind\": \"{}\", \
                  \"committed_before\": {}, \"ambiguous\": {}, \"resolved_forward\": {}, \
                  \"passed\": {}, \"replayed\": {}, \"rolled_back\": {}, \
                  \"redo_lines\": {}, \"undo_lines\": {}, \"sentinel_edges\": {}, \
                  \"violations\": [{}]}}",
-                json_escape(report.cell.design.label()),
-                json_escape(&report.cell.workload),
-                json_escape(&report.cell.config_name),
+                JsonStr(report.cell.design.label()),
+                JsonStr(&report.cell.workload),
+                JsonStr(&report.cell.config_name),
                 report.cell.seed,
                 report.total_mutations,
                 o.point,
@@ -58,7 +44,7 @@ pub fn verdicts_to_json(reports: &[CrashCellReport]) -> String {
                 o.report.sentinel_edges,
                 o.violations
                     .iter()
-                    .map(|m| format!("\"{}\"", json_escape(m)))
+                    .map(|m| JsonStr(m).to_string())
                     .collect::<Vec<_>>()
                     .join(", "),
             );

@@ -10,7 +10,7 @@ use std::path::PathBuf;
 
 use dhtm::hw_overhead::{hardware_overhead, total_overhead_bytes};
 use dhtm_baselines::registry::EngineId;
-use dhtm_scenario::SimSpec;
+use dhtm_scenario::{SimSpec, DEFAULT_SEED};
 use dhtm_types::config::{ConfigOverlay, SystemConfig};
 use dhtm_types::policy::DesignKind;
 use dhtm_workloads::MICRO_NAMES;
@@ -733,7 +733,7 @@ fn recovery(opts: &HarnessOpts) -> ExperimentResult {
     let mut matrix = CrashMatrix::new(&DesignKind::ALL, workloads, crate::experiment_config());
     matrix.config_name = if quick_mode() { "small" } else { "default" }.to_string();
     matrix.commits = if quick_mode() { 12 } else { 64 };
-    matrix.seed = crate::EXPERIMENT_SEED;
+    matrix.seed = DEFAULT_SEED;
     matrix.stratified = opts.crash_points.unwrap_or(8);
     matrix.adversarial = matrix.stratified.div_ceil(2).max(3);
     matrix.at_cycles = opts.crash_at.clone();

@@ -45,9 +45,6 @@ pub mod runner;
 
 use dhtm_types::config::{BaseConfig, SystemConfig};
 
-/// Seed used by all experiments (results are deterministic given the seed).
-pub const EXPERIMENT_SEED: u64 = dhtm_scenario::DEFAULT_SEED;
-
 /// True when the `DHTM_BENCH_QUICK` environment variable is set (to anything
 /// but `0`): experiments then run on [`SystemConfig::small_test`] with
 /// sharply reduced commit targets so that every experiment finishes in

@@ -4,7 +4,7 @@
 //! [`SimSpec`] — with deterministic seeding.
 
 use dhtm_baselines::registry::{self, EngineId};
-use dhtm_scenario::{SimSpec, SpecLimits};
+use dhtm_scenario::{SimSpec, SpecLimits, DEFAULT_SEED};
 use dhtm_types::config::{BaseConfig, ConfigOverlay, SystemConfig};
 
 use crate::{default_base, default_commits_for, quick_mode};
@@ -134,7 +134,7 @@ impl Matrix {
             core_counts: Vec::new(),
             configs: vec![ConfigVariant::default_machine()],
             commits: CommitSpec::PerWorkloadDefault,
-            seed: crate::EXPERIMENT_SEED,
+            seed: DEFAULT_SEED,
         }
     }
 

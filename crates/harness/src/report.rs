@@ -3,6 +3,7 @@
 
 use std::fmt::Write as _;
 
+use dhtm_obs::json::JsonStr;
 use dhtm_types::stats::AbortReason;
 
 use crate::runner::Row;
@@ -30,24 +31,6 @@ impl std::str::FromStr for OutputFormat {
             other => Err(format!("unknown format '{other}' (table|json|csv)")),
         }
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// The flat (name, value) numeric fields serialised for one row, shared by
@@ -141,7 +124,6 @@ const PROBE_COLUMNS: &[(&str, &str)] = &[
         "log_buffer/peak_occupancy",
     ),
     ("probe_overflow_appended", "overflow/appended"),
-    ("probe_mshr_merges", "mshr/merges"),
 ];
 
 fn format_number(v: f64) -> String {
@@ -160,11 +142,11 @@ pub fn rows_to_json(rows: &[Row]) -> String {
         // u64 and would lose precision through the f64 numeric fields.
         let _ = write!(
             out,
-            "  {{\"experiment\": \"{}\", \"engine\": \"{}\", \"workload\": \"{}\", \"config\": \"{}\", \"seed\": {}",
-            json_escape(&row.experiment),
-            json_escape(&row.engine),
-            json_escape(&row.workload),
-            json_escape(&row.config),
+            "  {{\"experiment\": {}, \"engine\": {}, \"workload\": {}, \"config\": {}, \"seed\": {}",
+            JsonStr(&row.experiment),
+            JsonStr(&row.engine),
+            JsonStr(&row.workload),
+            JsonStr(&row.config),
             row.seed,
         );
         for (name, value) in numeric_fields(row) {
@@ -179,7 +161,7 @@ pub fn rows_to_json(rows: &[Row]) -> String {
                 if j > 0 {
                     out.push_str(", ");
                 }
-                let _ = write!(out, "\"{}\": {value}", json_escape(name));
+                let _ = write!(out, "{}: {value}", JsonStr(name));
             }
             out.push('}');
         }
@@ -294,6 +276,9 @@ pub fn so_normalised(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::{CommitSpec, ConfigVariant, Matrix};
+    use crate::runner::run_cells_traced;
+    use dhtm_types::policy::DesignKind;
     use dhtm_types::stats::RunStats;
 
     fn row(engine: &str, workload: &str, committed: u64, cycles: u64) -> Row {
@@ -352,8 +337,25 @@ mod tests {
     }
 
     #[test]
-    fn json_escaping_handles_special_characters() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+    fn every_probe_column_names_a_probe_some_design_registers() {
+        let matrix = Matrix::new()
+            .engines(DesignKind::ALL)
+            .workloads(["hash"])
+            .core_counts([2])
+            .config(ConfigVariant::small())
+            .commits(CommitSpec::Fixed(4));
+        let rows = run_cells_traced(&matrix.cells(), 1, "");
+        for (column, suffix) in PROBE_COLUMNS {
+            let registered = rows.iter().any(|(row, _)| {
+                row.probes.iter().any(|(name, _)| {
+                    name == suffix || name.strip_suffix(suffix).is_some_and(|s| s.ends_with('/'))
+                })
+            });
+            assert!(
+                registered,
+                "{column}: no design registers a `{suffix}` probe"
+            );
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! normal form — the property the content-addressed result store's
 //! byte-identity guarantee rests on.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Nesting depth accepted by the parser. Deep enough for any schema in the
 /// tree (the deepest real payload nests four levels), shallow enough that a
@@ -90,7 +90,9 @@ impl JsonValue {
 
     fn render_into(&self, out: &mut String) {
         match self {
-            JsonValue::Str(s) => render_string(s, out),
+            JsonValue::Str(s) => {
+                let _ = write!(out, "{}", JsonStr(s));
+            }
             JsonValue::UInt(v) => {
                 out.push_str(itoa(*v).as_str());
             }
@@ -110,7 +112,7 @@ impl JsonValue {
                     if i > 0 {
                         out.push(',');
                     }
-                    render_string(k, out);
+                    let _ = write!(out, "{}", JsonStr(k));
                     out.push(':');
                     v.render_into(out);
                 }
@@ -150,22 +152,44 @@ fn itoa(v: u64) -> String {
     v.to_string()
 }
 
-fn render_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+/// Displays a string as a JSON string literal: quoted, with `"`, `\\`,
+/// `\n`, `\r` and `\t` escaped by name and every other control character
+/// as `\u00XX`. The one JSON string writer of the workspace: the canonical
+/// [`JsonValue`] form, the NDJSON trace lines and the harness and crash
+/// reports all quote through it. (`dhtm_lint` keeps its own copy because
+/// `dhtm-analysis` has no dependencies by design.)
+///
+/// ```
+/// use dhtm_obs::json::JsonStr;
+/// assert_eq!(JsonStr("a\"b\\c\nd").to_string(), r#""a\"b\\c\nd""#);
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct JsonStr<'a>(pub &'a str);
+
+impl fmt::Display for JsonStr<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_char('"')?;
+        let mut plain = 0;
+        // Every byte to escape is ASCII, so slicing at it keeps the
+        // unescaped runs on UTF-8 boundaries.
+        for (i, &b) in self.0.as_bytes().iter().enumerate() {
+            if b >= 0x20 && b != b'"' && b != b'\\' {
+                continue;
             }
-            c => out.push(c),
+            f.write_str(&self.0[plain..i])?;
+            match b {
+                b'"' => f.write_str("\\\"")?,
+                b'\\' => f.write_str("\\\\")?,
+                b'\n' => f.write_str("\\n")?,
+                b'\r' => f.write_str("\\r")?,
+                b'\t' => f.write_str("\\t")?,
+                _ => write!(f, "\\u{b:04x}")?,
+            }
+            plain = i + 1;
         }
+        f.write_str(&self.0[plain..])?;
+        f.write_char('"')
     }
-    out.push('"');
 }
 
 struct Parser<'a> {

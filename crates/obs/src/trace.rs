@@ -11,6 +11,8 @@
 
 use std::fmt::Write as _;
 
+use crate::json::JsonStr;
+
 /// The trace schema identifier carried by every emitted line. Bump the
 /// suffix when the line format changes incompatibly.
 pub const TRACE_SCHEMA: &str = "dhtm-trace-v1";
@@ -66,38 +68,20 @@ impl TraceEvent {
         let mut out = String::with_capacity(96 + self.fields.len() * 24);
         let _ = write!(
             out,
-            "{{\"schema\":\"{TRACE_SCHEMA}\",\"kind\":\"{}\",\"cell\":\"{}\"",
-            escape(&self.kind),
-            escape(&self.cell),
+            "{{\"schema\":\"{TRACE_SCHEMA}\",\"kind\":{},\"cell\":{}",
+            JsonStr(&self.kind),
+            JsonStr(&self.cell),
         );
         if let Some(core) = self.core {
             let _ = write!(out, ",\"core\":{core}");
         }
         let _ = write!(out, ",\"cycle\":{}", self.cycle);
         for (name, value) in &self.fields {
-            let _ = write!(out, ",\"{}\":{value}", escape(name));
+            let _ = write!(out, ",{}:{value}", JsonStr(name));
         }
         out.push('}');
         out
     }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// A bounded ring buffer of trace events rendered to NDJSON on demand.

@@ -44,6 +44,5 @@ pub use result::{RunRecord, RESULT_SCHEMA};
 pub use spec::{SimSpec, SimSpecBuilder, SpecError, SpecLimits};
 pub use trace::TraceRecorder;
 
-/// The base seed every experiment uses unless a spec overrides it (the
-/// value `dhtm_harness::EXPERIMENT_SEED` re-exports).
+/// The base seed every experiment uses unless a spec overrides it.
 pub const DEFAULT_SEED: u64 = 0x15CA_2018;

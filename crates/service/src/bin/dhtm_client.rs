@@ -7,11 +7,10 @@
 //! dhtm_client shutdown --addr HOST:PORT
 //! dhtm_client loadgen  --addr HOST:PORT [--batches N] [--batch-size K]
 //!                      [--dup-percent P] [--connections C] [--pool M]
-//!                      [--seed S] [--expect-all-cached]
-//!                      [--bench-append PATH] [--quiet]
+//!                      [--seed S] [--expect-all-cached] [--quiet]
 //! ```
 //!
-//! `loadgen` is the benchmark driver behind `BENCH_PR9.json`: it builds a
+//! `loadgen` drives the service with duplicate-heavy load: it builds a
 //! deterministic pool of `M` distinct specs, then submits `N` batches of
 //! `K` specs across `C` concurrent connections, where each slot repeats
 //! an already-used spec with probability `P`% — so the same content hash
@@ -19,8 +18,7 @@
 //! byte-identical record JSON against every other result with the same
 //! hash (across connections and across the cold/warm paths); any
 //! divergence aborts with a nonzero exit. It reports served specs/sec and
-//! the cache-hit ratio, and `--bench-append` folds those numbers into an
-//! existing benchmark JSON file as a `"service"` section.
+//! the cache-hit ratio.
 
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -205,7 +203,6 @@ struct LoadgenOptions {
     pool: u64,
     seed: u64,
     expect_all_cached: bool,
-    bench_append: Option<std::path::PathBuf>,
     quiet: bool,
 }
 
@@ -219,7 +216,6 @@ fn parse_loadgen(args: &[String]) -> Result<LoadgenOptions, String> {
         pool: 48,
         seed: 0x15CA_2018,
         expect_all_cached: false,
-        bench_append: None,
         quiet: false,
     };
     let mut it = args.iter();
@@ -242,7 +238,6 @@ fn parse_loadgen(args: &[String]) -> Result<LoadgenOptions, String> {
             "--pool" => opts.pool = parse_u64("--pool", value()?)?.max(1),
             "--seed" => opts.seed = parse_u64("--seed", value()?)?,
             "--expect-all-cached" => opts.expect_all_cached = true,
-            "--bench-append" => opts.bench_append = Some(value()?.into()),
             "--quiet" => opts.quiet = true,
             other => return Err(format!("unknown loadgen argument {other:?}")),
         }
@@ -350,25 +345,6 @@ fn run_connection(
     Ok(outcomes)
 }
 
-/// Appends (or replaces) a `"service"` section at the end of an existing
-/// top-level-object benchmark JSON file, leaving every other key alone —
-/// so the perf-gate fields written by `perf_trajectory` stay intact.
-fn append_service_section(path: &std::path::Path, section: &str) -> Result<(), String> {
-    const MARKER: &str = ",\n  \"service\":";
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let trimmed = text.trim_end();
-    let body = match trimmed.find(MARKER) {
-        Some(pos) => &trimmed[..pos],
-        None => trimmed
-            .strip_suffix('}')
-            .ok_or_else(|| format!("{}: not a JSON object", path.display()))?
-            .trim_end(),
-    };
-    let updated = format!("{body}{MARKER} {section}\n}}\n");
-    std::fs::write(path, updated).map_err(|e| format!("{}: {e}", path.display()))
-}
-
-#[allow(clippy::too_many_lines)]
 fn cmd_loadgen(args: &[String]) -> ExitCode {
     let opts = match parse_loadgen(args) {
         Ok(opts) => opts,
@@ -451,21 +427,5 @@ fn cmd_loadgen(args: &[String]) -> ExitCode {
         ));
     }
 
-    if let Some(path) = &opts.bench_append {
-        let section = format!(
-            "{{\"loadgen_batches\": {}, \"loadgen_batch_size\": {}, \"loadgen_connections\": {}, \
-             \"loadgen_dup_percent\": {}, \"spec_pool\": {}, \"served_specs\": {served}, \
-             \"distinct_results\": {distinct}, \"executed\": {executed}, \
-             \"served_from_cache\": {from_cache}, \"served_specs_per_sec\": {served_per_sec:.1}, \
-             \"cache_hit_ratio\": {hit_ratio:.4}, \"wall_seconds\": {wall_secs:.3}}}",
-            opts.batches, opts.batch_size, opts.connections, opts.dup_percent, opts.pool
-        );
-        if let Err(e) = append_service_section(path, &section) {
-            return fail(&format!("--bench-append: {e}"));
-        }
-        if !opts.quiet {
-            println!("service section appended to {}", path.display());
-        }
-    }
     ExitCode::SUCCESS
 }

@@ -23,8 +23,7 @@
 //!
 //! Two binaries ship with the crate: `dhtm_serve` (the server) and
 //! `dhtm_client` (submit / status / shutdown / `loadgen`, the
-//! duplicate-heavy load generator behind the served-cells/sec numbers in
-//! `BENCH_PR9.json`).
+//! duplicate-heavy load generator CI's cache round trip runs).
 //!
 //! Everything is std-only — hand-rolled framing and JSON over
 //! `TcpListener`/`TcpStream`, no external dependencies.

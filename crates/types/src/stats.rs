@@ -86,9 +86,8 @@ pub struct RunStats {
     /// Steps of the polling model (begin/op/commit steps across all
     /// cores): every step the driver executed plus every lock poll a
     /// parked core skipped (the driver settles those arithmetically, see
-    /// `dhtm_sim::driver`). The denominator of the simulator's own
-    /// steps-per-second throughput tracked by the `perf_trajectory`
-    /// benchmark.
+    /// `dhtm_sim::driver`). The denominator of perfbench's
+    /// `sim.driver_ns_per_step`.
     pub steps: u64,
     /// Total transaction attempts that aborted, by reason.
     pub aborts: BTreeMap<AbortReason, u64>,

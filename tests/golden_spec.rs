@@ -8,7 +8,7 @@
 
 use dhtm_harness::experiments::catalogue_matrices;
 use dhtm_harness::quick_mode;
-use dhtm_scenario::SimSpec;
+use dhtm_scenario::{SimSpec, DEFAULT_SEED};
 use dhtm_types::seed::{content_hash64, stable_cell_seed};
 
 /// Pinned: the catalogue's total cell count across all matrix-backed
@@ -21,7 +21,7 @@ const GOLDEN_CELL_COUNT: usize = 155;
 const GOLDEN_CATALOGUE_HASH: u64 = 0x2fa4_ccb1_fffe_ffd4;
 
 /// Pinned spot checks: the historical per-cell seed derivation for known
-/// coordinates (base seed 0x15CA_2018 — `EXPERIMENT_SEED`).
+/// coordinates (base seed 0x15CA_2018 — `DEFAULT_SEED`).
 const GOLDEN_SEEDS: [(&str, usize, u64); 3] = [
     ("hash", 8, 0x13ba_fa85_6558_6b31),
     ("tpcc", 8, 0x20b6_270b_eb29_bf50),
@@ -77,7 +77,7 @@ fn golden_catalogue_spec_identity() {
 #[test]
 fn golden_seed_spot_checks() {
     for (workload, cores, want) in GOLDEN_SEEDS {
-        let got = stable_cell_seed(dhtm_harness::EXPERIMENT_SEED, workload, cores);
+        let got = stable_cell_seed(DEFAULT_SEED, workload, cores);
         assert_eq!(
             got, want,
             "seed derivation for ({workload}, {cores}) shifted; if intended, \
